@@ -10,7 +10,6 @@ from .estimator import (
     EstimateResult,
     EstimatorConfig,
     build_config,
-    default_config,
     detect_case,
     epsilon_tilde,
     estimate,
@@ -108,7 +107,6 @@ __all__ = [
     "log_upper_incomplete_gamma",
     "tau_rho",
     "min_m",
-    "default_config",
     "build_config",
     "detect_case",
     "paired_product",

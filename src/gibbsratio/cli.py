@@ -132,7 +132,7 @@ def _cmd_schedule(args) -> int:
     oracle = SamplingOracle(inst)
     if cfg.tv_budget > 0:
         oracle = oracle.with_corruption(cfg.tv_budget, cfg.corruption_mode)
-    sched = generate_schedule(oracle, est_cfg.k, est_cfg.d, rng)
+    sched, _ = generate_schedule(oracle, est_cfg.k, est_cfg.d, rng)
     delta, per_interval = schedule_delta(inst, sched)
     payload = {
         "q_true": log_ratio_true(inst),

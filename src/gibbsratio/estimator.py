@@ -23,11 +23,12 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import gammaln, logsumexp
 
 from .instance import CountInstance, Schedule
 from .oracle import SamplingOracle
-from .tpa import thin_to_schedule, tpa_multi
+from .tpa import generate_schedule
 
 __all__ = [
     "EstimatorConfig",
@@ -37,7 +38,6 @@ __all__ = [
     "log_upper_incomplete_gamma",
     "tau_rho",
     "min_m",
-    "default_config",
     "build_config",
     "detect_case",
     "good_schedule_threshold",
@@ -52,9 +52,8 @@ Case = Literal["I", "II"]
 DEFAULT_GAMMA = 0.24
 DEFAULT_D = 64
 DEFAULT_LAMBDA = math.exp(-7.0)
-# headline rate coefficients achieved by (gamma, d, lambda) above
-CASE_I_RATE = 3.6
-CASE_II_RATE = 3.6
+# headline rate coefficient achieved by (gamma, d, lambda) above, in both cases
+HEADLINE_RATE = 3.6
 
 
 def epsilon_tilde(epsilon: float) -> float:
@@ -88,16 +87,6 @@ class TauResult(NamedTuple):
     argmin_tau: float
 
 
-def _tau_objective(tau: float, d: int, rho: float) -> float:
-    log_tail = (
-        log_upper_incomplete_gamma(d + 2, tau * d)
-        - math.log1p(-rho)
-        - math.log(d)
-        - float(gammaln(d + 1))
-    )
-    return tau + math.exp(log_tail)
-
-
 def _tau_objective_grid(taus: np.ndarray, d: int, rho: float) -> np.ndarray:
     # vectorized over tau: one log-sum-exp row per grid point
     b = taus * d
@@ -114,33 +103,22 @@ def tau_rho(d: int, rho: float) -> TauResult:
     """Minimize tau + Gamma(d+2, tau*d) / ((1-rho) d d!) over tau >= 0.
 
     A 2048-point log-spaced scan over [1e-3, 64] locates the basin (the
-    objective is not assumed unimodal), then golden-section refines to 1e-5.
+    objective is not assumed unimodal), then a bounded Brent search
+    (``minimize_scalar(method="bounded")``) refines the best cell to 1e-9.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     grid = np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))
-    values = _tau_objective_grid(grid, d, rho)
-    i = int(values.argmin())
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    e = a + inv_phi * (b - a)
-    fc, fe = _tau_objective(c, d, rho), _tau_objective(e, d, rho)
-    while b - a > 1e-7:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _tau_objective(c, d, rho)
-        else:
-            a, c, fc = c, e, fe
-            e = a + inv_phi * (b - a)
-            fe = _tau_objective(e, d, rho)
-    t = 0.5 * (a + b)
-    return TauResult(value=_tau_objective(t, d, rho), argmin_tau=t)
+    i = int(_tau_objective_grid(grid, d, rho).argmin())
+    best = minimize_scalar(
+        lambda t: float(_tau_objective_grid(np.array([t]), d, rho)[0]),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
+    return TauResult(value=float(best.fun), argmin_tau=float(best.x))
 
 
 def good_schedule_threshold(gamma: float, r: int, eps_tilde: float) -> float:
@@ -187,15 +165,13 @@ def min_m(
 class EstimatorConfig:
     """Knobs for one schedule generation plus paired product run.
 
-    k is the integer TPA run count; m = k/d is the effective rate, nudged up
-    from the target rate so that k is an integer.
+    k is the integer TPA run count; the effective rate m = k/d and
+    rho = 0.75/(1 - gamma) are derived from the stored knobs.
     """
 
     epsilon: float
     gamma: float
-    rho: float
     d: int
-    m: float
     k: int
     r: int
     case: str
@@ -206,16 +182,21 @@ class EstimatorConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.gamma < 0.25:
             raise ValueError("gamma must lie in (0, 0.25)")
-        if abs(self.rho - 0.75 / (1.0 - self.gamma)) > 1e-12:
-            raise ValueError("rho must equal 0.75 / (1 - gamma)")
         if self.d < 1 or self.k < 1 or self.r < 1:
             raise ValueError("d, k, r must be positive integers")
-        if abs(self.m - self.k / self.d) > 1e-12:
-            raise ValueError("m must equal k / d")
         if self.case not in ("I", "II"):
             raise ValueError("case must be 'I' or 'II'")
         if self.case == "II" and not (self.lam is None or 0.0 < self.lam < 1.0):
             raise ValueError("lambda must lie in (0, 1)")
+
+    @property
+    def rho(self) -> float:
+        return 0.75 / (1.0 - self.gamma)
+
+    @property
+    def m(self) -> float:
+        """Effective TPA rate per unit log-ratio."""
+        return self.k / self.d
 
     @property
     def eps_tilde(self) -> float:
@@ -236,41 +217,6 @@ def default_r(epsilon: float) -> int:
     return math.ceil(2.0 / epsilon_tilde(epsilon) ** 2)
 
 
-def default_config(epsilon: float, n: float, case: Case) -> EstimatorConfig:
-    """Headline parameterization: d=64, gamma=0.24, r=ceil(2/eps~^2).
-
-    The rate is 3.6 ln n in case I and 3.6 (9 + ln n) in case II (lambda =
-    e^-7); k = ceil(m d) is clamped to at least one run so degenerate fixtures
-    with n = 1 stay runnable, and m is re-derived as k/d (never decreasing).
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    et = epsilon_tilde(epsilon)
-    r = default_r(epsilon)
-    gamma = DEFAULT_GAMMA
-    d = DEFAULT_D
-    if case == "I":
-        m_target = CASE_I_RATE * math.log(n)
-        lam = None
-    elif case == "II":
-        m_target = CASE_II_RATE * (9.0 + math.log(n))
-        lam = DEFAULT_LAMBDA
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    k = max(1, math.ceil(m_target * d))
-    return EstimatorConfig(
-        epsilon=float(epsilon),
-        gamma=gamma,
-        rho=0.75 / (1.0 - gamma),
-        d=d,
-        m=k / d,
-        k=k,
-        r=r,
-        case=case,
-        lam=lam,
-    )
-
-
 def build_config(
     epsilon: float,
     n: float,
@@ -281,32 +227,43 @@ def build_config(
     m: float | None = None,
     lam: float | None = None,
 ) -> EstimatorConfig:
-    """Config with explicit overrides; unset knobs fall back to defaults.
+    """Estimator config for energies in [1, n] (case I) or with a zero level (case II).
 
-    When m is not given it is set to the minimal admissible rate for the
-    chosen (d, gamma, r, lambda), except for the headline d=64 defaults where
-    the standard 3.6-coefficient rates are kept.
+    Unset knobs fall back to the headline parameterization: d=64, gamma=0.24,
+    r=ceil(2/eps~^2) and, in case II, lambda=e^-7.  When m is not given and
+    the knobs are headline (r may be larger), the rate is 3.6 ln n in case I
+    and 3.6 (9 + ln n) in case II; otherwise it is the minimal admissible rate
+    ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
+    run so degenerate fixtures with n = 1 stay runnable; the effective rate
+    m = k/d never drops below the target.
     """
+    if not n >= 1:
+        raise ValueError("n must be at least 1")
+    if case not in ("I", "II"):
+        raise ValueError(f"unknown case {case!r}")
     d = DEFAULT_D if d is None else int(d)
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     r = default_r(epsilon) if r is None else int(r)
-    if case == "II" and lam is None:
-        lam = DEFAULT_LAMBDA
     if case == "I":
         lam = None
+    elif lam is None:
+        lam = DEFAULT_LAMBDA
     if m is None:
-        if d == DEFAULT_D and gamma == DEFAULT_GAMMA and r >= default_r(epsilon):
-            m = (CASE_I_RATE * math.log(n)) if case == "I" else (CASE_II_RATE * (9.0 + math.log(n)))
+        headline = (
+            d == DEFAULT_D
+            and gamma == DEFAULT_GAMMA
+            and r >= default_r(epsilon)
+            and lam in (None, DEFAULT_LAMBDA)
+        )
+        if headline:
+            m = HEADLINE_RATE * (math.log(n) if case == "I" else 9.0 + math.log(n))
         else:
             m = min_m(d, gamma, r, epsilon, n, case, lam)
-    k = max(1, math.ceil(float(m) * d))
     return EstimatorConfig(
         epsilon=float(epsilon),
         gamma=gamma,
-        rho=0.75 / (1.0 - gamma),
         d=d,
-        m=k / d,
-        k=k,
+        k=max(1, math.ceil(float(m) * d)),
         r=r,
         case=case,
         lam=lam,
@@ -389,15 +346,12 @@ def estimate(
     satisfies the admissible-rate condition for the instance's case.
     """
     oracle = _as_oracle(target)
-    inst = oracle.instance
-    if config.case == "I" and inst.has_zero_level:
+    if config.case == "I" and oracle.instance.has_zero_level:
         raise ValueError("zero-energy level present: use a case II config")
     before = oracle.call_count
-    out = tpa_multi(oracle, config.k, rng)
-    offset = int(rng.integers(1, config.d + 1))
-    sched = thin_to_schedule(out.points, config.d, offset, inst.beta_min, inst.beta_max)
+    sched, tpa_points = generate_schedule(oracle, config.k, config.d, rng)
     result = paired_product(oracle, sched, config.r, rng)
-    result.tpa_points = out.points.size
+    result.tpa_points = tpa_points
     result.oracle_calls = oracle.call_count - before
     return result
 

@@ -142,6 +142,10 @@ class TrialBatch:
 
 def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
     """Materialize the configured model as an exact count instance."""
+    if cfg.model in ("twolevel", "lowerbound") and (
+        cfg.beta_min is not None or cfg.beta_max is not None
+    ):
+        raise ValueError(f"{cfg.model} model fixes its own beta window; drop beta_min/beta_max")
     if cfg.model == "singleton":
         inst = singleton_instance(
             beta_min=cfg.beta_min if cfg.beta_min is not None else 0.0,
@@ -171,9 +175,7 @@ def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
         else:
             inst = enumerate_matchings(graph, **kwargs)
         return inst
-    if cfg.model in ("singleton", "twolevel", "lowerbound") or (
-        cfg.beta_min is None and cfg.beta_max is None
-    ):
+    if cfg.model == "singleton" or (cfg.beta_min is None and cfg.beta_max is None):
         return inst
     return CountInstance(
         inst.support(),

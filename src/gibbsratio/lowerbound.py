@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .instance import CountInstance, energy_variance, log_partition, log_ratio_true
 
@@ -152,7 +153,7 @@ def sensitivity(lb: LowerBoundInstance) -> float:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    numeric_sup: float      # grid + golden-section maximum of z'' over the window
+    numeric_sup: float      # grid + bounded-Brent maximum of z'' over the window
     kappa_ell_bound: float  # analytic cap max_ell (1/m^2)[sum a_ell/a_k + sum a_k/a_{ell+1}]
 
 
@@ -172,7 +173,8 @@ def curvature_sup(lb: LowerBoundInstance) -> CurvatureReport:
 
     z'' is a sum of single-bump terms peaking at u = a_k, so the supremum over
     all beta is attained for u in [a_N, a_1]; a 512-point grid is refined by
-    golden section around the best cell.
+    a bounded Brent search (``minimize_scalar(method="bounded")``) on the
+    best cell.
     """
     if lb.n_factors < 2:
         raise ValueError("curvature cap needs at least two factors")
@@ -182,22 +184,13 @@ def curvature_sup(lb: LowerBoundInstance) -> CurvatureReport:
     grid = np.linspace(beta_lo, beta_hi, 512)
     values = energy_variance(lb.expanded, grid)
     i = int(values.argmax())
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    f = lambda b: energy_variance(lb.expanded, b)
-    c, e = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
-    fc, fe = f(c), f(e)
-    while hi - lo > 1e-10 * max(1.0, abs(hi)):
-        if fc > fe:
-            hi, e, fe = e, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + inv_phi * (hi - lo)
-            fe = f(e)
-    numeric = max(float(values[i]), f(0.5 * (lo + hi)))
+    best = minimize_scalar(
+        lambda b: -energy_variance(lb.expanded, b),
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10 * max(1.0, beta_hi)},
+    )
+    numeric = max(float(values[i]), -float(best.fun))
     return CurvatureReport(
         numeric_sup=numeric, kappa_ell_bound=float(_kappa_ell_values(lb).max())
     )

@@ -96,18 +96,24 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
 def thin_to_schedule(
     points: np.ndarray, d: int, offset: int, beta_min: float, beta_max: float
 ) -> Schedule:
-    """Keep every d-th sorted point starting at 1-based index ``offset``."""
+    """Keep every d-th sorted point starting at 1-based index ``offset``.
+
+    Kept points that tie (a TPA step below the float resolution of beta) are
+    merged into one level; point sets without ties are thinned unchanged.
+    """
     if not 1 <= offset <= d:
         raise ValueError("offset must lie in {1, ..., d}")
-    kept = np.sort(points)[offset - 1 :: d]
+    kept = np.unique(np.sort(points)[offset - 1 :: d])
     kept = kept[(kept > beta_min) & (kept < beta_max)]
     return Schedule(np.concatenate([[beta_min], kept, [beta_max]]))
 
 
-def generate_schedule(oracle: SamplingOracle, k: int, d: int, rng) -> Schedule:
+def generate_schedule(oracle: SamplingOracle, k: int, d: int, rng) -> tuple[Schedule, int]:
     """Run TPA(k) and thin with a random start offset drawn once per schedule.
 
-    The offset is drawn from {1, ..., d} even when the point set is empty, so
+    Returns ``(schedule, tpa_point_count)``: the count is the number of TPA
+    points before thinning, so the schedule's draws were points + k.  The
+    offset is drawn from {1, ..., d} even when the point set is empty, so
     replays consume an identical random stream.  An empty point set yields the
     two-level schedule (beta_min, beta_max).
     """
@@ -116,7 +122,8 @@ def generate_schedule(oracle: SamplingOracle, k: int, d: int, rng) -> Schedule:
     out = tpa_multi(oracle, k, rng)
     offset = int(rng.integers(1, d + 1))
     inst = oracle.instance
-    return thin_to_schedule(out.points, d, offset, inst.beta_min, inst.beta_max)
+    sched = thin_to_schedule(out.points, d, offset, inst.beta_min, inst.beta_max)
+    return sched, out.points.size
 
 
 def ppp_reference(q: float, k: int, rng) -> np.ndarray:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from gibbsratio.estimator import default_config, estimate, tau_rho
+from gibbsratio.estimator import build_config, estimate, tau_rho
 from gibbsratio.harness import ExperimentConfig, run_trials, wilson_interval
 from gibbsratio.instance import (
     CountInstance,
@@ -52,7 +52,7 @@ def q8_batch(q8_instance):
 def test_criterion_01_deterministic_exactness():
     started = time.perf_counter()
     inst = singleton_instance(h=1.0, beta_min=0.0, beta_max=5.0)
-    cfg = default_config(0.5, inst.n, "I")
+    cfg = build_config(0.5, inst.n, "I")
     worst = 0.0
     for seed in range(100):
         res = estimate(inst, cfg, np.random.default_rng(seed))
@@ -140,13 +140,13 @@ def test_criterion_05_step_survival_identity():
 
 def test_criterion_06_schedule_quality_frequency(q8_instance):
     started = time.perf_counter()
-    cfg = default_config(0.5, q8_instance.n, "II")
+    cfg = build_config(0.5, q8_instance.n, "II")
     oracle = SamplingOracle(q8_instance)
     rng = np.random.default_rng(600)
     good = 0
     n_schedules = 500
     for _ in range(n_schedules):
-        sched = generate_schedule(oracle, cfg.k, cfg.d, rng)
+        sched, _ = generate_schedule(oracle, cfg.k, cfg.d, rng)
         delta, _ = schedule_delta(q8_instance, sched)
         good += delta <= cfg.delta_threshold
     fraction = good / n_schedules
@@ -183,7 +183,7 @@ def test_criterion_08_oracle_call_accounting(q8_batch):
 
 def test_criterion_09_approximate_oracle_robustness(q8_instance):
     started = time.perf_counter()
-    cfg = default_config(0.5, q8_instance.n, "II")
+    cfg = build_config(0.5, q8_instance.n, "II")
     q = log_ratio_true(q8_instance)
     tv = 0.1 / (cfg.m * q * (cfg.r + cfg.d) + 3 * cfg.r + 1)
     batch = run_trials(

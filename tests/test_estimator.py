@@ -21,7 +21,6 @@ from gibbsratio.oracle import SamplingOracle
 from gibbsratio.estimator import (
     EstimatorConfig,
     build_config,
-    default_config,
     detect_case,
     epsilon_tilde,
     estimate,
@@ -163,36 +162,50 @@ class TestMinM:
 
 class TestConfig:
     def test_default_case_one_example(self):
-        cfg = default_config(1.0, math.e ** 2, "I")
+        cfg = build_config(1.0, math.e ** 2, "I")
         assert cfg.r == 24
         assert cfg.k == 461
         assert cfg.m == pytest.approx(461 / 64)
+        assert cfg.rho == pytest.approx(0.75 / 0.76)
         assert cfg.d == 64 and cfg.gamma == 0.24
         assert cfg.lam is None
 
     def test_default_r_for_eps_three(self):
-        assert default_config(3.0, 10.0, "I").r == 8
+        assert build_config(3.0, 10.0, "I").r == 8
 
     def test_default_satisfies_min_m(self):
+        # the headline rates clear min_m by as little as 0.24% (case II, eps = 3)
         for case in ("I", "II"):
-            for n in (2.0, 50.0):
-                cfg = default_config(0.5, n, case)
-                m_required = min_m(cfg.d, cfg.gamma, cfg.r, cfg.epsilon, n, case, cfg.lam)
-                assert cfg.m >= m_required - 1e-12
+            for eps in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+                for n in np.logspace(0.0, 6.0, 13):
+                    cfg = build_config(eps, n, case)
+                    m_required = min_m(cfg.d, cfg.gamma, cfg.r, eps, n, case, cfg.lam)
+                    assert cfg.m >= m_required - 1e-12
+
+    def test_custom_lambda_gets_admissible_rate(self):
+        # the headline case II rate assumes lambda = e^-7; lambda = 0.1 needs more
+        cfg = build_config(0.5, 24.0, "II", lam=0.1)
+        required = min_m(cfg.d, cfg.gamma, cfg.r, 0.5, 24.0, "II", 0.1)
+        assert cfg.lam == 0.1
+        assert required - 1e-12 <= cfg.m <= required + 1.0 / cfg.d
+        assert build_config(0.5, 24.0, "II", lam=math.exp(-7)) == build_config(0.5, 24.0, "II")
 
     def test_degenerate_n_clamps_k(self):
-        cfg = default_config(0.5, 1.0, "I")
+        cfg = build_config(0.5, 1.0, "I")
         assert cfg.k == 1 and cfg.m == 1 / 64
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(
-                epsilon=1.0, gamma=0.24, rho=0.9, d=64, m=1.0, k=64, r=8, case="I"
-            )
-        with pytest.raises(ValueError):
-            EstimatorConfig(
-                epsilon=1.0, gamma=0.24, rho=0.75 / 0.76, d=64, m=2.0, k=64, r=8, case="I"
-            )
+        valid = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, case="I")
+        for bad in (dict(epsilon=0.0), dict(gamma=0.3), dict(k=0), dict(case="III")):
+            with pytest.raises(ValueError):
+                EstimatorConfig(**{**valid, **bad})
+
+    def test_build_config_validates_n_and_case(self):
+        for n in (0.5, 0.0, -3.0, math.nan):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                build_config(0.5, n, "I")
+        with pytest.raises(ValueError, match="unknown case"):
+            build_config(0.5, 10.0, "III")
 
     def test_build_config_custom_d_uses_min_rate(self):
         cfg = build_config(1.0, 40.0, "I", d=8, gamma=0.2, r=16)
@@ -201,7 +214,7 @@ class TestConfig:
         assert cfg.m - required <= 1.0 / cfg.d + 1e-12  # only the integer-k nudge
 
     def test_threshold_and_margin(self):
-        cfg = default_config(0.5, 1.0, "II")
+        cfg = build_config(0.5, 1.0, "II")
         et = cfg.eps_tilde
         assert cfg.delta_threshold == pytest.approx(math.log1p(0.5 * 0.24 * cfg.r * et ** 2))
         assert cfg.success_margin == pytest.approx(math.log(1.5))
@@ -287,14 +300,14 @@ class TestPairedProduct:
 class TestEstimatePipeline:
     def test_singleton_exact_every_seed(self):
         inst = singleton_instance(beta_max=5.0)
-        cfg = default_config(0.5, inst.n, "I")
+        cfg = build_config(0.5, inst.n, "I")
         for seed in range(20):
             res = estimate(inst, cfg, np.random.default_rng(seed))
             assert res.q_hat == pytest.approx(5.0, abs=1e-9)
 
     def test_case_mismatch_rejected(self):
         inst = two_level_instance(2.0)
-        cfg = default_config(0.5, inst.n, "I")
+        cfg = build_config(0.5, inst.n, "I")
         with pytest.raises(ValueError):
             estimate(inst, cfg, np.random.default_rng(0))
 
@@ -315,10 +328,20 @@ class TestEstimatePipeline:
         assert res.schedule.betas[0] == inst.beta_min
         assert res.schedule.betas[-1] == inst.beta_max
 
+    def test_tied_tpa_points_below_float_resolution(self):
+        # steps of about 1e-16 from beta = 1 round to ties; thinning must merge them
+        inst = CountInstance([(1e16, 0.0)], 1.0, 1.0 + 4e-16)
+        cfg = build_config(0.5, 1e16, "I")
+        oracle = SamplingOracle(inst)
+        res = estimate(oracle, cfg, np.random.default_rng(0))
+        assert math.isfinite(res.q_hat)
+        expected = (res.tpa_points + cfg.k) + (res.schedule_len + 1) * cfg.r
+        assert res.oracle_calls == expected == oracle.call_count
+
     @pytest.mark.statistical
     def test_success_rate_on_small_instance(self):
         inst = two_level_instance(3.0)
-        cfg = default_config(1.0, inst.n, "II")
+        cfg = build_config(1.0, inst.n, "II")
         q = log_ratio_true(inst)
         hits = 0
         trials = 60
@@ -331,7 +354,7 @@ class TestEstimatePipeline:
     def test_success_rate_on_unit_two_level(self):
         # unit counts at {0, 1} on [0, ln 3], case II defaults at eps = 0.5
         inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-        cfg = default_config(0.5, inst.n, "II")
+        cfg = build_config(0.5, inst.n, "II")
         q = log_ratio_true(inst)
         hits = 0
         trials = 100
@@ -341,7 +364,7 @@ class TestEstimatePipeline:
         assert hits / trials >= 0.70
 
     def test_predicted_calls_formula(self):
-        cfg = default_config(0.5, 1.0, "II")
+        cfg = build_config(0.5, 1.0, "II")
         pred = predicted_calls(cfg, 8.0)
         base = cfg.m * 8.0 * (cfg.r + cfg.d) + 2 * cfg.r
         assert pred["implemented"] == pytest.approx(base + cfg.k)
@@ -351,7 +374,7 @@ class TestEstimatePipeline:
 class TestMedianBoost:
     def test_rejects_even_or_nonpositive(self):
         inst = singleton_instance()
-        cfg = default_config(0.5, 1.0, "I")
+        cfg = build_config(0.5, 1.0, "I")
         rng = np.random.default_rng(7)
         with pytest.raises(ValueError):
             median_boost(inst, cfg, 2, rng)
@@ -360,7 +383,7 @@ class TestMedianBoost:
 
     def test_singleton_exact(self):
         inst = singleton_instance(beta_max=5.0)
-        cfg = default_config(0.5, 1.0, "I")
+        cfg = build_config(0.5, 1.0, "I")
         for t in (1, 3, 5):
             res = median_boost(inst, cfg, t, np.random.default_rng(8))
             assert res.q_hat == pytest.approx(5.0, abs=1e-9)

@@ -62,6 +62,13 @@ class TestModelDispatch:
         )
         assert inst.beta_max == 0.9
 
+    def test_fixed_window_models_reject_override(self):
+        # twolevel and lowerbound derive their window from the target ratio
+        for model in ("twolevel", "lowerbound"):
+            for window in (dict(beta_min=0.1), dict(beta_max=1.0)):
+                with pytest.raises(ValueError, match="fixes its own beta window"):
+                    build_model_instance(ExperimentConfig(model=model, trials=1, **window))
+
     def test_lowerbound_model(self):
         inst = build_model_instance(
             ExperimentConfig(model="lowerbound", n_factors=8, m_grid=1, trials=1)

@@ -184,21 +184,23 @@ class TestPppReference:
 class TestScheduleGeneration:
     def test_empty_points_give_two_level_schedule(self):
         oracle = SamplingOracle(singleton_instance(beta_max=1e-9))
-        sched = generate_schedule(oracle, 1, 4, np.random.default_rng(17))
+        sched, count = generate_schedule(oracle, 1, 4, np.random.default_rng(17))
         assert sched.to_list() == [0.0, 1e-9]
+        assert count == 0
 
     def test_endpoints_always_pinned(self, unit_oracle):
         rng = np.random.default_rng(18)
         for _ in range(100):
-            sched = generate_schedule(unit_oracle, 4, 4, rng)
+            sched, _ = generate_schedule(unit_oracle, 4, 4, rng)
             assert sched.betas[0] == 0.0 and sched.betas[-1] == 5.0
             assert (np.diff(sched.betas) > 0).all()
 
     def test_d_one_keeps_every_point(self, unit_oracle):
         rng_a = np.random.default_rng(19)
         rng_b = np.random.default_rng(19)
-        sched = generate_schedule(unit_oracle, 6, 1, rng_a)
+        sched, count = generate_schedule(unit_oracle, 6, 1, rng_a)
         out = tpa_multi(unit_oracle, 6, rng_b)
+        assert count == out.points.size
         assert sched.ell == out.points.size + 1
         np.testing.assert_allclose(np.sort(out.points), sched.betas[1:-1])
 
@@ -207,6 +209,11 @@ class TestScheduleGeneration:
         sched = thin_to_schedule(points, d=3, offset=2, beta_min=0.0, beta_max=7.0)
         # sorted points indexed 1..7; offset 2 stride 3 keeps indices 2 and 5
         assert sched.to_list() == [0.0, 1.5, 4.5, 7.0]
+        # tied points (a TPA step below the float resolution of beta) merge into one level
+        ties = thin_to_schedule(
+            np.array([0.5, 0.5, 1.0]), d=1, offset=1, beta_min=0.0, beta_max=2.0
+        )
+        assert ties.to_list() == [0.0, 0.5, 1.0, 2.0]
         with pytest.raises(ValueError):
             thin_to_schedule(points, d=3, offset=0, beta_min=0.0, beta_max=7.0)
         with pytest.raises(ValueError):
@@ -217,7 +224,7 @@ class TestScheduleGeneration:
         # k = m d with m = 2, d = 4 on q = 8: E[ell] = m q + 1 = 17
         oracle = SamplingOracle(singleton_instance(beta_max=8.0))
         rng = np.random.default_rng(20)
-        lengths = np.array([generate_schedule(oracle, 8, 4, rng).ell for _ in range(2000)])
+        lengths = np.array([generate_schedule(oracle, 8, 4, rng)[0].ell for _ in range(2000)])
         se = lengths.std(ddof=1) / math.sqrt(lengths.size)
         assert abs(lengths.mean() - 17.0) < 3 * se
 
