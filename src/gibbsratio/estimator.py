@@ -307,16 +307,15 @@ class EstimateResult:
 def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> EstimateResult:
     """Run the paired product estimator with r independent runs on a schedule.
 
-    Draws r energies at every level (level-major, one cumulative table per
-    level), so exactly (ell + 1) r oracle calls are consumed.
+    Draws r energies at every level in one vector ``sample_many`` call
+    (level-major, so row i holds the r draws at beta_i), consuming exactly
+    (ell + 1) r oracle calls.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     betas = sched.betas
     ell = sched.ell
-    draws = np.empty((ell + 1, r))
-    for i, beta in enumerate(betas):
-        draws[i] = oracle.sample_many(beta, r, rng)
+    draws = oracle.sample_many(betas, r, rng)
     half_gaps = 0.5 * np.diff(betas)
     log_w = -(half_gaps @ draws[:-1])
     log_v = half_gaps @ draws[1:]

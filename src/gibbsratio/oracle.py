@@ -1,14 +1,17 @@
 """Sampling oracles over count instances.
 
 An oracle draws energy values with probability c_h e^{-beta h} / Z(beta) and
-counts every draw it serves.  Sampling uses inverse-CDF lookup on a cumulative
-weight table: the table is rebuilt per request (betas vary during schedule
-generation) but shared across all draws of a fixed-beta batch, which is the
-dominant path during estimation.  Supports here are desk-scale, so binary
-search beats alias tables; if that ever changes, _exact_many and _exact_at are
-the two spots to swap.  An optional corruption wrapper mixes in a fixed
-alternative distribution with probability tv_budget, which bounds the
-total-variation distance from the exact oracle by tv_budget.
+counts every draw it serves.  All exact draws go through one kernel,
+``SamplingOracle._draw``: per requested beta it builds a max-shifted
+cumulative weight table and draws by inverse CDF, the index being the number
+of entries before the last that are <= u * total (``searchsorted`` with
+side="right").  A vector of betas is served in one call, level-major with one
+uniform per draw, in row chunks of about ``_CHUNK_ELEMENTS`` temporaries.
+The index costs one comparison per level, cheap at desk-scale supports; at
+hundreds of levels binary search or alias tables would win inside ``_draw``.
+An optional corruption wrapper mixes in a fixed alternative distribution with
+probability tv_budget, which bounds the total-variation distance from the
+exact oracle by tv_budget.
 
 Handles are cheap and single-threaded by design: give each trial worker its
 own handle over the shared read-only instance, and aggregate call counts after
@@ -26,6 +29,9 @@ from .instance import CountInstance
 __all__ = ["Corruption", "SamplingOracle", "CORRUPTION_MODES"]
 
 CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
+
+# bound on the elements of each temporary block in SamplingOracle._draw
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,23 +85,22 @@ class SamplingOracle:
 
     # -- exact draws ------------------------------------------------------
 
-    def _cumulative(self, beta: float) -> np.ndarray:
-        logits = self.instance.log_counts - beta * self.instance.energies
-        return np.cumsum(np.exp(logits - logits.max()))
-
-    def _exact_many(self, beta: float, size: int, rng) -> np.ndarray:
-        cum = self._cumulative(beta)
-        u = rng.random(size)
-        idx = np.searchsorted(cum, u * cum[-1], side="right")
-        return self.instance.energies[np.minimum(idx, cum.size - 1)]
-
-    def _exact_at(self, betas: np.ndarray, rng) -> np.ndarray:
-        logits = self.instance.log_counts - np.multiply.outer(betas, self.instance.energies)
-        logits -= logits.max(axis=1, keepdims=True)
-        cum = np.cumsum(np.exp(logits), axis=1)
-        u = rng.random(betas.size)
-        idx = (cum < (u * cum[:, -1])[:, None]).sum(axis=1)
-        return self.instance.energies[np.minimum(idx, cum.shape[1] - 1)]
+    def _draw(self, betas: np.ndarray, size: int, rng) -> np.ndarray:
+        """``size`` exact draws per entry of the 1-D ``betas``, shape (len, size)."""
+        energies = self.instance.energies
+        n = energies.size
+        out = np.empty((betas.size, size))
+        rows = max(1, _CHUNK_ELEMENTS // max(1, size * n))
+        cols = max(1, _CHUNK_ELEMENTS // n)  # only < size when rows == 1
+        for lo in range(0, betas.size, rows):
+            logits = self.instance.log_counts - np.multiply.outer(betas[lo:lo + rows], energies)
+            logits -= logits.max(axis=1, keepdims=True)
+            cum = np.cumsum(np.exp(logits), axis=1)
+            for c in range(0, size, cols):
+                x = rng.random((cum.shape[0], min(cols, size - c))) * cum[:, -1:]
+                idx = (cum[:, None, :-1] <= x[:, :, None]).sum(axis=2)
+                out[lo:lo + rows, c:c + cols] = energies[idx]
+        return out
 
     # -- public sampling surface ------------------------------------------
 
@@ -103,25 +108,24 @@ class SamplingOracle:
         """One draw at inverse temperature beta."""
         return float(self.sample_many(beta, 1, rng)[0])
 
-    def sample_many(self, beta: float, size: int, rng) -> np.ndarray:
-        """A batch of independent draws at a fixed beta (one shared table)."""
-        h = self._exact_many(float(beta), size, rng)
-        h = self._corrupt(h, rng)
-        self._calls += size
-        return h
+    def sample_many(self, beta, size: int, rng) -> np.ndarray:
+        """``size`` independent draws at each beta: shape (size,) for a scalar
+        beta, (len(beta), size) for a 1-D vector of betas."""
+        betas = np.asarray(beta, dtype=float)
+        h = self._corrupt(self._draw(betas.reshape(-1), size, rng), rng)
+        self._calls += h.size
+        return h.reshape(betas.shape + (size,))
 
     def sample_at(self, betas, rng) -> np.ndarray:
         """One draw per entry of betas, each at its own inverse temperature."""
-        betas = np.asarray(betas, dtype=float)
-        h = self._exact_at(betas, rng)
-        h = self._corrupt(h, rng)
-        self._calls += betas.size
+        h = self._corrupt(self._draw(np.asarray(betas, dtype=float), 1, rng)[:, 0], rng)
+        self._calls += h.size
         return h
 
     def _corrupt(self, h: np.ndarray, rng) -> np.ndarray:
         if self.corruption is None:
             return h
-        mask = rng.random(h.size) < self.corruption.tv_budget
+        mask = rng.random(h.shape) < self.corruption.tv_budget
         hit = int(mask.sum())
         if hit:
             energies = self.instance.energies

@@ -338,6 +338,32 @@ class TestEstimatePipeline:
         expected = (res.tpa_points + cfg.k) + (res.schedule_len + 1) * cfg.r
         assert res.oracle_calls == expected == oracle.call_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        levels=st.lists(
+            st.tuples(st.floats(1.0, 60.0), st.floats(-5.0, 20.0)), max_size=39
+        ),
+        zero=st.booleans(),
+        beta_min=st.floats(-2.0, 2.0),
+        width=st.floats(1e-3, 5.0),
+        k=st.integers(1, 8),
+        d=st.integers(1, 4),
+        r=st.integers(1, 8),
+    )
+    def test_random_instances_run_clean(self, levels, zero, beta_min, width, k, d, r):
+        # support 1 (a lone zero level) leaves the oracle's comparison empty
+        if zero or not levels:
+            levels = [(0.0, 0.0)] + levels
+        inst = CountInstance(levels, beta_min, beta_min + width)
+        cfg = EstimatorConfig(epsilon=0.5, gamma=0.24, d=d, k=k, r=r, case=detect_case(inst))
+        oracle = SamplingOracle(inst)
+        res = estimate(oracle, cfg, np.random.default_rng(0))
+        assert math.isfinite(res.q_hat)
+        assert res.schedule.betas[0] == inst.beta_min
+        assert res.schedule.betas[-1] == inst.beta_max
+        expected = (res.tpa_points + k) + (res.schedule_len + 1) * r
+        assert res.oracle_calls == expected == oracle.call_count
+
     @pytest.mark.statistical
     def test_success_rate_on_small_instance(self):
         inst = two_level_instance(3.0)

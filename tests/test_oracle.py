@@ -12,7 +12,7 @@ from scipy import stats
 
 from gibbsratio.instance import CountInstance, singleton_instance
 from gibbsratio.models import GraphSpec, enumerate_ising
-from gibbsratio.oracle import CORRUPTION_MODES, Corruption, SamplingOracle
+from gibbsratio.oracle import _CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
 
 ALPHA = 1e-3
 
@@ -20,6 +20,13 @@ ALPHA = 1e-3
 def exact_probs(inst, beta):
     w = np.exp(inst.log_counts - beta * inst.energies)
     return w / w.sum()
+
+
+class HalfRng:
+    """Generator stub whose uniforms are all exactly 0.5."""
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
 
 
 @pytest.fixture
@@ -84,11 +91,39 @@ class TestExactSampling:
     def test_one_uniform_consumed_per_exact_draw(self, two_level):
         # same stream position after n draws as after n raw uniforms
         oracle = SamplingOracle(two_level)
-        rng_a = np.random.default_rng(6)
-        rng_b = np.random.default_rng(6)
-        oracle.sample_many(0.4, 137, rng_a)
-        rng_b.random(137)
-        assert rng_a.random() == rng_b.random()
+        for beta, uniforms in ((0.4, 137), (np.array([0.0, 0.4, 1.0]), 3 * 137)):
+            rng_a = np.random.default_rng(6)
+            rng_b = np.random.default_rng(6)
+            oracle.sample_many(beta, 137, rng_a)
+            rng_b.random(uniforms)
+            assert rng_a.random() == rng_b.random()
+
+    def test_tie_resolves_upward_on_every_path(self):
+        # beta 0 on two equal weights: cum = [1, 2] and u * total = 1 lands
+        # exactly on the first entry, which counts as passed
+        oracle = SamplingOracle(CountInstance([(0, 0), (1, 0)], 0, 1))
+        rng = HalfRng()
+        assert oracle.sample(0.0, rng) == 1.0
+        assert oracle.sample_many(0.0, 3, rng).tolist() == [1.0] * 3
+        assert oracle.sample_at(np.zeros(4), rng).tolist() == [1.0] * 4
+        assert oracle.sample_many(np.zeros(2), 3, rng).tolist() == [[1.0] * 3] * 2
+
+    @pytest.mark.parametrize("rows,size", [(60, 300), (3, 5000)])
+    def test_vector_matches_row_by_row_searchsorted(self, rows, size):
+        # (60, 300) splits the rows over chunks; (3, 5000) splits each row
+        inst = CountInstance([(h, 0.1 * h * (7 - h % 5)) for h in range(20)], 0.0, 2.0)
+        assert rows * size * inst.support_size > 4 * _CHUNK_ELEMENTS
+        betas = np.linspace(-0.5, 2.5, rows)
+        oracle = SamplingOracle(inst)
+        draws = oracle.sample_many(betas, size, np.random.default_rng(21))
+        assert draws.shape == (rows, size)
+        assert oracle.call_count == rows * size
+        ref_rng = np.random.default_rng(21)
+        for beta, row in zip(betas, draws):
+            logits = inst.log_counts - beta * inst.energies
+            cum = np.cumsum(np.exp(logits - logits.max()))
+            idx = np.searchsorted(cum, ref_rng.random(size) * cum[-1], side="right")
+            np.testing.assert_array_equal(row, inst.energies[np.minimum(idx, cum.size - 1)])
 
 
 class TestCallCounting:
@@ -171,6 +206,17 @@ class TestCorruption:
         draws = oracle.sample_many(0.0, n, rng)
         expected = (1 - budget) * 0.5 + budget
         assert abs((draws == target).mean() - expected) < 0.01
+
+    def test_corrupted_vector_draw(self, two_level):
+        # at these betas the exact oracle almost never emits h = 1, so about
+        # half of every row is the adversarial point mass
+        oracle = SamplingOracle(two_level).with_corruption(0.5, "adversarial_max_h")
+        betas = np.array([20.0, 30.0, 40.0])
+        draws = oracle.sample_many(betas, 4000, np.random.default_rng(14))
+        assert draws.shape == (3, 4000)
+        assert oracle.call_count == 3 * 4000
+        share = (draws == two_level.energies[-1]).mean(axis=1)
+        assert np.abs(share - 0.5).max() < 0.04
 
     def test_modes_registry(self):
         assert set(CORRUPTION_MODES) == {"uniform", "adversarial_max_h", "adversarial_min_h"}
