@@ -63,7 +63,6 @@ from .tpa import (
     generate_schedule,
     ppp_reference,
     tpa_multi,
-    tpa_run,
     tpa_step,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "normalize_range",
     "load_graph",
     "tpa_step",
-    "tpa_run",
     "tpa_multi",
     "generate_schedule",
     "ppp_reference",

@@ -16,6 +16,7 @@ from .estimator import tau_rho
 from .harness import (
     MODELS,
     SUITES,
+    TAU_TABLE,
     ExperimentConfig,
     build_model_instance,
     resolve_estimator_config,
@@ -26,7 +27,7 @@ from .harness import (
 )
 from .instance import log_ratio_true, schedule_delta
 from .lowerbound import build, build_from_grid, verify_lemma10
-from .oracle import SamplingOracle
+from .oracle import CORRUPTION_MODES, Corruption, SamplingOracle
 from .tpa import generate_schedule
 
 
@@ -59,11 +60,7 @@ def _add_run_arguments(parser: argparse.ArgumentParser, default_trials: int) -> 
     group.add_argument("--trials", type=int, default=default_trials)
     group.add_argument("--seed", type=int, default=0, help="master seed")
     group.add_argument("--tv-budget", type=float, default=0.0)
-    group.add_argument(
-        "--corruption-mode",
-        choices=["uniform", "adversarial_max_h", "adversarial_min_h"],
-        default="uniform",
-    )
+    group.add_argument("--corruption-mode", choices=CORRUPTION_MODES, default="uniform")
     group.add_argument("--boost", type=int, default=None, help="odd median-boost factor")
     group.add_argument("--workers", type=int, default=1)
     group.add_argument("--out", default=None, help="record output path (default stdout)")
@@ -129,9 +126,7 @@ def _cmd_schedule(args) -> int:
     inst = build_model_instance(cfg)
     est_cfg = resolve_estimator_config(cfg, inst)
     rng = trial_rng(cfg.master_seed, 0)
-    oracle = SamplingOracle(inst)
-    if cfg.tv_budget > 0:
-        oracle = oracle.with_corruption(cfg.tv_budget, cfg.corruption_mode)
+    oracle = SamplingOracle(inst, Corruption(cfg.tv_budget, cfg.corruption_mode))
     sched, _ = generate_schedule(oracle, est_cfg.k, est_cfg.d, rng)
     delta, per_interval = schedule_delta(inst, sched)
     payload = {
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_schedule.set_defaults(func=_cmd_schedule)
 
     p_tau = sub.add_parser("tau", help="print schedule-quality constants")
-    p_tau.add_argument("--d", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+    p_tau.add_argument("--d", type=int, nargs="+", default=list(TAU_TABLE))
     p_tau.add_argument("--rho", type=float, default=75.0 / 76.0)
     p_tau.set_defaults(func=_cmd_tau)
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, xlogy
 
 from .instance import CountInstance, Schedule
 from .oracle import SamplingOracle
@@ -63,23 +62,25 @@ def epsilon_tilde(epsilon: float) -> float:
     return 1.0 - (1.0 + epsilon) ** -0.5
 
 
-def log_upper_incomplete_gamma(a: int, b: float) -> float:
+def log_upper_incomplete_gamma(a: int, b: float | np.ndarray) -> float | np.ndarray:
     """ln of Gamma(a, b) = integral_b^inf t^(a-1) e^(-t) dt for integer a >= 1.
 
     Uses the closed form Gamma(a, b) = (a-1)! e^(-b) sum_{j<a} b^j / j!,
-    evaluated as a log-sum-exp; all terms are positive so there is no
-    cancellation.  Gamma(a, 0) reduces to (a-1)!.
+    evaluated as a log-sum-exp of xlogy(j, b) - ln j!; all terms are positive
+    so there is no cancellation, and at b = 0 only the j = 0 term survives,
+    giving (a-1)!.  ``b`` may be a scalar (returns a float) or an array of
+    any shape (returns an array of that shape).
     """
     if a < 1 or a != int(a):
         raise ValueError("a must be a positive integer")
-    if b < 0 or not math.isfinite(b):
+    b = np.asarray(b, dtype=float)
+    if not np.all((b >= 0) & np.isfinite(b)):
         raise ValueError("b must be finite and non-negative")
     a = int(a)
-    if b == 0.0:
-        return float(gammaln(a))
     j = np.arange(a)
-    series = logsumexp(j * math.log(b) - gammaln(j + 1))
-    return float(gammaln(a) - b + series)
+    series = logsumexp(xlogy(j, b[..., None]) - gammaln(j + 1), axis=-1)
+    out = gammaln(a) - b + series
+    return float(out) if out.ndim == 0 else out
 
 
 class TauResult(NamedTuple):
@@ -88,12 +89,9 @@ class TauResult(NamedTuple):
 
 
 def _tau_objective_grid(taus: np.ndarray, d: int, rho: float) -> np.ndarray:
-    # vectorized over tau: one log-sum-exp row per grid point
-    b = taus * d
-    j = np.arange(d + 2)
-    series = logsumexp(np.outer(np.log(b), j) - gammaln(j + 1), axis=1)
+    # vectorized over tau: one incomplete-gamma tail per grid point
     log_tail = (
-        gammaln(d + 2) - b + series
+        log_upper_incomplete_gamma(d + 2, taus * d)
         - math.log1p(-rho) - math.log(d) - gammaln(d + 1)
     )
     return taus + np.exp(log_tail)
@@ -110,6 +108,8 @@ def tau_rho(d: int, rho: float) -> TauResult:
         raise ValueError("d must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
+
     grid = np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))
     i = int(_tau_objective_grid(grid, d, rho).argmin())
     best = minimize_scalar(

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .estimator import (
     EstimatorConfig,
@@ -42,7 +41,7 @@ from .models import (
     enumerate_matchings,
     load_graph,
 )
-from .oracle import SamplingOracle
+from .oracle import Corruption, SamplingOracle
 from .tpa import ppp_reference, tpa_multi, tpa_step
 
 __all__ = [
@@ -53,6 +52,7 @@ __all__ = [
     "SuiteReport",
     "MODELS",
     "SUITES",
+    "TAU_TABLE",
     "build_model_instance",
     "run_trials",
     "run_suite",
@@ -62,6 +62,20 @@ __all__ = [
 
 MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings", "lowerbound")
 SUITES = ("distribution", "accounting", "lemma10", "tau_table")
+
+# d -> (tau_rho(d, 75/76), argmin tau) as tabulated for the schedule-quality bound
+TAU_TABLE = {
+    1: (9.903, 8.645),
+    2: (6.052, 5.384),
+    4: (4.000, 3.634),
+    8: (2.860, 2.653),
+    16: (2.197, 2.075),
+    32: (1.794, 1.720),
+    64: (1.539, 1.492),
+    128: (1.372, 1.342),
+    256: (1.260, 1.241),
+    512: (1.184, 1.170),
+}
 
 RECORD_FIELDS = (
     "seed",
@@ -111,6 +125,9 @@ class ExperimentConfig:
             raise ValueError("workers must be at least 1")
         if self.case not in ("auto", "I", "II"):
             raise ValueError("case must be 'auto', 'I' or 'II'")
+        Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
+        if self.boost_t is not None and (self.boost_t < 1 or self.boost_t % 2 == 0):
+            raise ValueError("boost_t must be a positive odd integer")
 
 
 @dataclass
@@ -200,9 +217,7 @@ def trial_rng(master_seed: int, index: int) -> np.random.Generator:
 def _run_one_trial(payload) -> TrialRecord:
     inst, est_cfg, cfg, index, q_true = payload
     rng = trial_rng(cfg.master_seed, index)
-    oracle = SamplingOracle(inst)
-    if cfg.tv_budget > 0.0:
-        oracle = oracle.with_corruption(cfg.tv_budget, cfg.corruption_mode)
+    oracle = SamplingOracle(inst, Corruption(cfg.tv_budget, cfg.corruption_mode))
     started = time.perf_counter()
     if cfg.boost_t is not None:
         result = median_boost(oracle, est_cfg, cfg.boost_t, rng)
@@ -350,21 +365,9 @@ class SuiteReport:
 def _suite_tau_table() -> SuiteReport:
     from .estimator import tau_rho
 
-    table = {
-        1: (9.903, 8.645),
-        2: (6.052, 5.384),
-        4: (4.000, 3.634),
-        8: (2.860, 2.653),
-        16: (2.197, 2.075),
-        32: (1.794, 1.720),
-        64: (1.539, 1.492),
-        128: (1.372, 1.342),
-        256: (1.260, 1.241),
-        512: (1.184, 1.170),
-    }
     report = SuiteReport("tau_table")
     rho = 75.0 / 76.0
-    for d, (bound, argmin) in table.items():
+    for d, (bound, argmin) in TAU_TABLE.items():
         res = tau_rho(d, rho)
         report.add(
             f"tau_rho({d})",
@@ -384,6 +387,8 @@ def _suite_tau_table() -> SuiteReport:
 
 
 def _suite_distribution(seed: int = 2024) -> SuiteReport:
+    from scipy import stats
+
     report = SuiteReport("distribution")
 
     # pooled run-count law on a window of width 5: counts are Poisson(k q)
@@ -405,7 +410,7 @@ def _suite_distribution(seed: int = 2024) -> SuiteReport:
     inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
     step_oracle = SamplingOracle(inst)
     rng = trial_rng(seed, 1)
-    draws = np.array([tpa_step(step_oracle, 0.0, rng) for _ in range(100_000)])
+    draws = tpa_step(step_oracle, np.zeros(100_000), rng)
     for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
         target = math.exp(log_partition(inst, alpha) - log_partition(inst, 0.0))
         emp = float((draws >= alpha).mean())

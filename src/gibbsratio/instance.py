@@ -15,7 +15,6 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 __all__ = [
@@ -299,7 +298,8 @@ def two_level_instance(target_q: float, log_count_high: float | None = None) -> 
     """Two-level {0, 1} instance whose log ratio equals ``target_q`` exactly.
 
     The count at energy 1 is inflated (default log-count target_q + 1) and
-    beta_max is solved by root finding so that z(0) - z(beta_max) == target_q.
+    beta_max solves z(0) - z(beta_max) == target_q in closed form: with
+    z(beta) = ln(1 + e^(lc - beta)), beta_max = lc - ln(expm1(z(0) - target_q)).
     """
     if target_q <= 0:
         raise ValueError("target_q must be positive")
@@ -307,13 +307,8 @@ def two_level_instance(target_q: float, log_count_high: float | None = None) -> 
     z0 = np.logaddexp(0.0, lc)
     if not z0 > target_q:
         raise ValueError("log_count_high too small to reach target_q")
-
-    def gap(beta):
-        return (z0 - np.logaddexp(0.0, lc - beta)) - target_q
-
-    hi = lc + 50.0  # z(hi) ~ ln(1+e^{-50}) ~ 0, so gap(hi) ~ z0 - target_q > 0
-    beta_max = brentq(gap, 1e-12, hi, xtol=1e-13, rtol=8.9e-16)
-    return CountInstance([(0.0, 0.0), (1.0, lc)], 0.0, float(beta_max))
+    beta_max = lc - math.log(math.expm1(z0 - target_q))
+    return CountInstance([(0.0, 0.0), (1.0, lc)], 0.0, beta_max)
 
 
 def save_instance(inst: CountInstance, path) -> None:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .instance import CountInstance, energy_variance, log_partition, log_ratio_true
 
@@ -178,6 +177,8 @@ def curvature_sup(lb: LowerBoundInstance) -> CurvatureReport:
     """
     if lb.n_factors < 2:
         raise ValueError("curvature cap needs at least two factors")
+    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
+
     a = lb.a_coeffs
     beta_lo = -lb.m_grid * math.log(a[0])
     beta_hi = -lb.m_grid * math.log(a[-1])

@@ -104,10 +104,6 @@ class SamplingOracle:
 
     # -- public sampling surface ------------------------------------------
 
-    def sample(self, beta: float, rng) -> float:
-        """One draw at inverse temperature beta."""
-        return float(self.sample_many(beta, 1, rng)[0])
-
     def sample_many(self, beta, size: int, rng) -> np.ndarray:
         """``size`` independent draws at each beta: shape (size,) for a scalar
         beta, (len(beta), size) for a 1-D vector of betas."""

@@ -7,10 +7,12 @@ Z(alpha)/Z(beta), so the log-partition images of the collected points form a
 rate-k Poisson point process running down from z(beta_min) -- which is what
 makes the thinned point set a usable cooling schedule.
 
-``tpa_multi`` advances all k runs in lock-stepped waves over vectorized oracle
-draws.  Each run still consumes one oracle draw and one uniform per step, so
-call accounting is unchanged; only the interleaving of draws across runs
-differs from running the k loops one after another.
+``tpa_step`` is the one place the step rule lives: it advances a whole vector
+of betas with one vectorized oracle draw and one uniform per entry.
+``tpa_multi`` pools k independent runs by calling it once per wave on the runs
+still inside the window.  Each run still consumes one oracle draw and one
+uniform per step, so call accounting is that of k runs made one after another;
+only the interleaving of draws across runs differs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .oracle import SamplingOracle
 __all__ = [
     "TpaOutput",
     "tpa_step",
-    "tpa_run",
     "tpa_multi",
     "thin_to_schedule",
     "generate_schedule",
@@ -40,38 +41,12 @@ class TpaOutput:
     points: np.ndarray
     runs: int
 
-    @property
-    def terminal_calls(self) -> int:
-        """Each run spends exactly one draw on the step that leaves the window."""
-        return self.runs
 
-    @property
-    def total_calls(self) -> int:
-        return self.points.size + self.runs
-
-
-def tpa_step(oracle: SamplingOracle, beta: float, rng) -> float:
-    """One temperature advance; returns +inf when the drawn energy is zero."""
-    h = oracle.sample(beta, rng)
-    u = 1.0 - rng.random()  # uniform on (0, 1]; never feeds log a zero
-    if h == 0.0:
-        return np.inf
-    return beta - np.log(u) / h
-
-
-def tpa_run(oracle: SamplingOracle, rng) -> np.ndarray:
-    """One full run: step upward from beta_min, collect until past beta_max.
-
-    Consumes exactly len(points) + 1 oracle draws.
-    """
-    inst = oracle.instance
-    beta = inst.beta_min
-    points = []
-    while True:
-        beta = tpa_step(oracle, beta, rng)
-        if beta > inst.beta_max:
-            return np.array(points)
-        points.append(beta)
+def tpa_step(oracle: SamplingOracle, betas: np.ndarray, rng) -> np.ndarray:
+    """Advance every entry of the 1-D ``betas`` by one step; +inf where h = 0."""
+    h = oracle.sample_at(betas, rng)
+    u = 1.0 - rng.random(betas.size)  # uniform on (0, 1]; never feeds log a zero
+    return betas + np.divide(-np.log(u), h, out=np.full(betas.size, np.inf), where=h > 0)
 
 
 def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
@@ -82,13 +57,10 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
     active = np.full(k, inst.beta_min)
     collected = []
     while active.size:
-        h = oracle.sample_at(active, rng)
-        u = 1.0 - rng.random(active.size)
-        step = np.divide(-np.log(u), h, out=np.full(active.size, np.inf), where=h > 0)
-        advanced = active + step
+        advanced = tpa_step(oracle, active, rng)
         active = advanced[advanced <= inst.beta_max]
         if active.size:
-            collected.append(active.copy())
+            collected.append(active)
     points = np.concatenate(collected) if collected else np.empty(0)
     return TpaOutput(points=points, runs=k)
 

@@ -70,6 +70,17 @@ class TestLogUpperIncompleteGamma:
         with pytest.raises(ValueError):
             log_upper_incomplete_gamma(2, -1.0)
 
+    def test_array_input_matches_scalar(self):
+        b = np.array([[0.0, 0.1, 1.0], [50.0, 95.0, 600.0]])
+        for a in (1, 5, 66):
+            out = log_upper_incomplete_gamma(a, b)
+            assert out.shape == b.shape
+            expected = [[log_upper_incomplete_gamma(a, float(x)) for x in row] for row in b]
+            np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
+            assert out[0, 0] == pytest.approx(math.lgamma(a), abs=1e-12)
+        with pytest.raises(ValueError):
+            log_upper_incomplete_gamma(3, np.array([1.0, -1.0]))
+
     @pytest.mark.parametrize("a,b", [(3, 2.0), (10, 1.5), (66, 95.0), (130, 600.0), (514, 600.0), (1030, 900.0)])
     def test_matches_regularized_library_form(self, a, b):
         expected = math.log(gammaincc(a, b)) + float(gammaln(a))

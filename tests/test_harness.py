@@ -80,6 +80,24 @@ class TestModelDispatch:
         with pytest.raises(ValueError):
             ExperimentConfig(model="curveball")
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(tv_budget=-0.1),
+            dict(tv_budget=1.0),
+            dict(tv_budget=float("nan")),
+            dict(corruption_mode="bogus"),
+            dict(boost_t=0),
+            dict(boost_t=2),
+            dict(boost_t=-3),
+        ],
+        ids=["tv-negative", "tv-one", "tv-nan", "mode-unknown", "boost-zero", "boost-even",
+             "boost-negative"],
+    )
+    def test_bad_corruption_and_boost_rejected_at_build(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
     def test_case_resolution(self):
         cfg = ExperimentConfig(model="twolevel", target_q=2.0, trials=1)
         inst = build_model_instance(cfg)

@@ -261,10 +261,12 @@ class TestSchedule:
 
 
 class TestFixtureBuilders:
-    def test_two_level_hits_target_exactly(self):
-        inst = two_level_instance(8.0)
+    @pytest.mark.parametrize("log_count_high", [None, 300.0])
+    @pytest.mark.parametrize("q", [1e-6, 0.5, 8.0, 64.0, 256.0])
+    def test_two_level_hits_target_exactly(self, q, log_count_high):
+        inst = two_level_instance(q, log_count_high=log_count_high)
         assert inst.has_zero_level
-        assert log_ratio_true(inst) == pytest.approx(8.0, abs=1e-9)
+        assert log_ratio_true(inst) == pytest.approx(q, abs=1e-9)
 
     def test_two_level_rejects_unreachable_target(self):
         with pytest.raises(ValueError):

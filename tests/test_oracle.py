@@ -86,7 +86,7 @@ class TestExactSampling:
         oracle = SamplingOracle(two_level)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            assert oracle.sample(0.3, rng) in (0.0, 1.0)
+            assert oracle.sample_many(0.3, 1, rng)[0] in (0.0, 1.0)
 
     def test_one_uniform_consumed_per_exact_draw(self, two_level):
         # same stream position after n draws as after n raw uniforms
@@ -103,7 +103,6 @@ class TestExactSampling:
         # exactly on the first entry, which counts as passed
         oracle = SamplingOracle(CountInstance([(0, 0), (1, 0)], 0, 1))
         rng = HalfRng()
-        assert oracle.sample(0.0, rng) == 1.0
         assert oracle.sample_many(0.0, 3, rng).tolist() == [1.0] * 3
         assert oracle.sample_at(np.zeros(4), rng).tolist() == [1.0] * 4
         assert oracle.sample_many(np.zeros(2), 3, rng).tolist() == [[1.0] * 3] * 2
@@ -134,7 +133,7 @@ class TestCallCounting:
         oracle = SamplingOracle(two_level)
         rng = np.random.default_rng(7)
         for _ in range(7):
-            oracle.sample(0.1, rng)
+            oracle.sample_many(0.1, 1, rng)
         assert oracle.call_count == 7
         oracle.sample_many(0.1, 10, rng)
         oracle.sample_at(np.array([0.0, 0.5, 1.0]), rng)
@@ -142,7 +141,7 @@ class TestCallCounting:
 
     def test_reset(self, two_level):
         oracle = SamplingOracle(two_level)
-        oracle.sample(0.0, np.random.default_rng(8))
+        oracle.sample_many(0.0, 1, np.random.default_rng(8))
         oracle.reset_count()
         assert oracle.call_count == 0
 
