@@ -69,30 +69,35 @@ def _add_run_arguments(parser: argparse.ArgumentParser, default_trials: int) -> 
 
 
 def _experiment_config(args, trials: int | None = None) -> ExperimentConfig:
-    return ExperimentConfig(
-        model=args.model,
-        target_q=args.q,
-        instance_path=args.instance,
-        graph_path=args.graph,
-        kcolors=args.colors,
-        n_factors=args.n_factors,
-        m_grid=args.m_grid,
-        beta_min=args.beta_min,
-        beta_max=args.beta_max,
-        epsilon=args.eps,
-        case=args.case,
-        d=args.d,
-        gamma=args.gamma,
-        r=args.r,
-        m=args.m,
-        lam=args.lam,
-        trials=trials if trials is not None else args.trials,
-        master_seed=args.seed,
-        tv_budget=args.tv_budget,
-        corruption_mode=args.corruption_mode,
-        boost_t=args.boost,
-        workers=args.workers,
-    )
+    """The run's config; a setting it rejects is a usage error (exit 2)."""
+    try:
+        return ExperimentConfig(
+            model=args.model,
+            target_q=args.q,
+            instance_path=args.instance,
+            graph_path=args.graph,
+            kcolors=args.colors,
+            n_factors=args.n_factors,
+            m_grid=args.m_grid,
+            beta_min=args.beta_min,
+            beta_max=args.beta_max,
+            epsilon=args.eps,
+            case=args.case,
+            d=args.d,
+            gamma=args.gamma,
+            r=args.r,
+            m=args.m,
+            lam=args.lam,
+            trials=trials if trials is not None else args.trials,
+            master_seed=args.seed,
+            tv_budget=args.tv_budget,
+            corruption_mode=args.corruption_mode,
+            boost_t=args.boost,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"gibbsratio {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _open_out(args):

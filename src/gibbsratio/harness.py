@@ -130,7 +130,7 @@ class ExperimentConfig:
             raise ValueError("boost_t must be a positive odd integer")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     seed: int
     q_true: float

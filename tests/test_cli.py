@@ -80,6 +80,24 @@ class TestTrials:
         assert summary["corruption_mode"] == "adversarial_max_h"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tv-budget", "-0.1", "tv_budget must lie in [0, 1)"),
+        ("--boost", "2", "boost_t must be a positive odd integer"),
+    ], ids=["tv-budget", "boost"])
+    def test_rejected_run_setting_exits_2_with_one_line(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbsratio trials: error: {message}\n"
+
+    def test_error_past_the_config_keeps_its_traceback(self):
+        with pytest.raises(ValueError, match="instance_path"):
+            main(["trials", "--model", "synthetic"])
+
+
 class TestSchedule:
     def test_diagnostics_payload(self, capsys):
         code, out, _ = run_cli(

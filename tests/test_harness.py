@@ -3,12 +3,14 @@
 import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from gibbsratio.harness import (
     ExperimentConfig,
+    TrialRecord,
     build_model_instance,
     resolve_estimator_config,
     run_suite,
@@ -193,6 +195,19 @@ class TestWilson:
         assert lo == 0.0 and hi < 0.35
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
+
+
+class TestTrialRecord:
+    def test_slotted_record_pickles_and_keeps_its_fields(self):
+        fields = dict(
+            seed=3, q_true=8.0, q_hat=7.9, success=True, oracle_calls=120,
+            schedule_len=4, tpa_points=20, schedule_delta=0.01,
+        )
+        rec = TrialRecord(**fields, wall_time=0.5)
+        assert not hasattr(rec, "__dict__")
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert rec.to_dict() == fields and list(rec.to_dict()) == list(fields)
+        assert rec.to_dict(include_timing=True) == {**fields, "wall_time": 0.5}
 
 
 class TestWriteRecords:

@@ -124,6 +124,24 @@ class TestExactSampling:
             idx = np.searchsorted(cum, ref_rng.random(size) * cum[-1], side="right")
             np.testing.assert_array_equal(row, inst.energies[np.minimum(idx, cum.size - 1)])
 
+    @pytest.mark.parametrize("support", [1, 2, 23])
+    def test_sample_at_matches_row_by_row_searchsorted(self, support):
+        # the TPA-shaped call: one draw at each of 2,074 betas; support 1
+        # compares against no level, support 2 accumulates one level
+        inst = CountInstance([(h, 0.1 * h * (7 - h % 5)) for h in range(support)], 0.0, 2.0)
+        betas = np.linspace(-0.5, 2.5, 2074)
+        oracle = SamplingOracle(inst)
+        draws = oracle.sample_at(betas, np.random.default_rng(22))
+        assert oracle.call_count == 2074
+        ref_rng = np.random.default_rng(22)
+        ref = np.empty(betas.size)
+        for i, beta in enumerate(betas):
+            logits = inst.log_counts - beta * inst.energies
+            cum = np.cumsum(np.exp(logits - logits.max()))
+            idx = np.searchsorted(cum, ref_rng.random() * cum[-1], side="right")
+            ref[i] = inst.energies[min(idx, cum.size - 1)]
+        np.testing.assert_array_equal(draws, ref)
+
 
 class TestCallCounting:
     def test_fresh_oracle_is_zero(self, two_level):
