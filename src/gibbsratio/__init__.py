@@ -50,12 +50,10 @@ from .lowerbound import (
 )
 from .models import (
     GraphSpec,
-    RangeMap,
     enumerate_colorings,
     enumerate_ising,
     enumerate_matchings,
     load_graph,
-    normalize_range,
 )
 from .oracle import Corruption, SamplingOracle
 from .tpa import (
@@ -80,7 +78,6 @@ __all__ = [
     "TrialBatch",
     "TrialRecord",
     "GraphSpec",
-    "RangeMap",
     "LowerBoundInstance",
     "log_partition",
     "log_ratio_true",
@@ -95,7 +92,6 @@ __all__ = [
     "enumerate_ising",
     "enumerate_colorings",
     "enumerate_matchings",
-    "normalize_range",
     "load_graph",
     "tpa_step",
     "tpa_multi",

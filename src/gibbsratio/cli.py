@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 
 from .estimator import tau_rho
 from .harness import (
@@ -34,10 +35,16 @@ from .tpa import generate_schedule
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model")
     group.add_argument("--model", choices=MODELS, default="twolevel")
-    group.add_argument("--q", type=float, default=8.0, help="target log ratio (twolevel)")
-    group.add_argument("--instance", help="instance JSON path (synthetic)")
-    group.add_argument("--graph", help="edge-list path (ising/colorings/matchings)")
-    group.add_argument("--colors", type=int, default=3, help="palette size (colorings)")
+    group.add_argument(
+        "--q", dest="target_q", type=float, default=8.0, help="target log ratio (twolevel)"
+    )
+    group.add_argument("--instance", dest="instance_path", help="instance JSON path (synthetic)")
+    group.add_argument(
+        "--graph", dest="graph_path", help="edge-list path (ising/colorings/matchings)"
+    )
+    group.add_argument(
+        "--colors", dest="kcolors", type=int, default=3, help="palette size (colorings)"
+    )
     group.add_argument("--n-factors", type=int, default=16, help="product terms (lowerbound)")
     group.add_argument("--m-grid", type=int, default=2, help="energy grid resolution (lowerbound)")
     group.add_argument("--beta-min", type=float, default=None)
@@ -46,7 +53,9 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_estimator_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("estimator")
-    group.add_argument("--eps", type=float, default=0.5, help="target relative accuracy")
+    group.add_argument(
+        "--eps", dest="epsilon", type=float, default=0.5, help="target relative accuracy"
+    )
     group.add_argument("--case", choices=["auto", "I", "II"], default="auto")
     group.add_argument("--d", type=int, default=None, help="thinning stride")
     group.add_argument("--gamma", type=float, default=None)
@@ -55,46 +64,35 @@ def _add_estimator_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--lam", type=float, default=None, help="case II correction constant")
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser, default_trials: int) -> None:
+def _add_run_arguments(parser: argparse.ArgumentParser, *, batch: bool, records: bool) -> None:
+    """Run flags; ``batch`` adds --trials/--workers, ``records`` the trial-record flags."""
     group = parser.add_argument_group("run")
-    group.add_argument("--trials", type=int, default=default_trials)
-    group.add_argument("--seed", type=int, default=0, help="master seed")
+    if batch:
+        group.add_argument("--trials", type=int, default=100)
+    group.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
     group.add_argument("--tv-budget", type=float, default=0.0)
     group.add_argument("--corruption-mode", choices=CORRUPTION_MODES, default="uniform")
-    group.add_argument("--boost", type=int, default=None, help="odd median-boost factor")
-    group.add_argument("--workers", type=int, default=1)
-    group.add_argument("--out", default=None, help="record output path (default stdout)")
-    group.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
-    group.add_argument("--timing", action="store_true", help="include wall_time in records")
-
-
-def _experiment_config(args, trials: int | None = None) -> ExperimentConfig:
-    """The run's config; a setting it rejects is a usage error (exit 2)."""
-    try:
-        return ExperimentConfig(
-            model=args.model,
-            target_q=args.q,
-            instance_path=args.instance,
-            graph_path=args.graph,
-            kcolors=args.colors,
-            n_factors=args.n_factors,
-            m_grid=args.m_grid,
-            beta_min=args.beta_min,
-            beta_max=args.beta_max,
-            epsilon=args.eps,
-            case=args.case,
-            d=args.d,
-            gamma=args.gamma,
-            r=args.r,
-            m=args.m,
-            lam=args.lam,
-            trials=trials if trials is not None else args.trials,
-            master_seed=args.seed,
-            tv_budget=args.tv_budget,
-            corruption_mode=args.corruption_mode,
-            boost_t=args.boost,
-            workers=args.workers,
+    if records:
+        group.add_argument(
+            "--boost", dest="boost_t", type=int, default=None, help="odd median-boost factor"
         )
+    if batch:
+        group.add_argument("--workers", type=int, default=1)
+    group.add_argument("--out", default=None, help="record output path (default stdout)")
+    if records:
+        group.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
+        group.add_argument("--timing", action="store_true", help="include wall_time in records")
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    """The run's config, read from the flags named after its fields.
+
+    A field without a flag on this subcommand keeps its default; a setting
+    the config rejects is a usage error (exit 2).
+    """
+    names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
+    try:
+        return ExperimentConfig(**{name: getattr(args, name) for name in names})
     except ValueError as exc:
         print(f"gibbsratio {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -106,8 +104,8 @@ def _open_out(args):
     return open(args.out, "w", encoding="utf-8"), True
 
 
-def _cmd_trials(args, trials: int | None = None) -> int:
-    cfg = _experiment_config(args, trials)
+def _cmd_trials(args) -> int:
+    cfg = _experiment_config(args)
     started = time.perf_counter()
     batch = run_trials(cfg)
     elapsed = time.perf_counter() - started
@@ -122,12 +120,8 @@ def _cmd_trials(args, trials: int | None = None) -> int:
     return 0
 
 
-def _cmd_estimate(args) -> int:
-    return _cmd_trials(args, trials=1)
-
-
 def _cmd_schedule(args) -> int:
-    cfg = _experiment_config(args, trials=1)
+    cfg = _experiment_config(args)
     inst = build_model_instance(cfg)
     est_cfg = resolve_estimator_config(cfg, inst)
     rng = trial_rng(cfg.master_seed, 0)
@@ -192,19 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_estimate = sub.add_parser("estimate", help="single pipeline run")
     _add_model_arguments(p_estimate)
     _add_estimator_arguments(p_estimate)
-    _add_run_arguments(p_estimate, default_trials=1)
-    p_estimate.set_defaults(func=_cmd_estimate)
+    _add_run_arguments(p_estimate, batch=False, records=True)
+    p_estimate.set_defaults(func=_cmd_trials, trials=1)
 
     p_trials = sub.add_parser("trials", help="seeded trial batch with summary")
     _add_model_arguments(p_trials)
     _add_estimator_arguments(p_trials)
-    _add_run_arguments(p_trials, default_trials=100)
+    _add_run_arguments(p_trials, batch=True, records=True)
     p_trials.set_defaults(func=_cmd_trials)
 
     p_schedule = sub.add_parser("schedule", help="emit one schedule with diagnostics")
     _add_model_arguments(p_schedule)
     _add_estimator_arguments(p_schedule)
-    _add_run_arguments(p_schedule, default_trials=1)
+    _add_run_arguments(p_schedule, batch=False, records=False)
     p_schedule.set_defaults(func=_cmd_schedule)
 
     p_tau = sub.add_parser("tau", help="print schedule-quality constants")

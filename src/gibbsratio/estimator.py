@@ -277,7 +277,7 @@ def detect_case(inst: CountInstance) -> Case:
     if inst.energies[0] >= 1.0:
         return "I"
     raise ValueError(
-        "support has energies inside (0, 1); normalize the range before estimating"
+        "support has energies inside (0, 1); the estimator assumes every energy is 0 or in [1, n]"
     )
 
 
@@ -301,7 +301,6 @@ class EstimateResult:
     oracle_calls: int
     tpa_points: int = 0
     schedule: Schedule | None = None
-    seed: int | None = None
 
 
 def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> EstimateResult:

@@ -158,48 +158,38 @@ class TrialBatch:
 
 
 def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
-    """Materialize the configured model as an exact count instance."""
-    if cfg.model in ("twolevel", "lowerbound") and (
-        cfg.beta_min is not None or cfg.beta_max is not None
-    ):
+    """Materialize the configured model as an exact count instance.
+
+    A ``beta_min``/``beta_max`` override replaces that end of the model's own
+    window; twolevel and lowerbound derive their window and take none.
+    """
+    window = {
+        name: value
+        for name, value in (("beta_min", cfg.beta_min), ("beta_max", cfg.beta_max))
+        if value is not None
+    }
+    if window and cfg.model in ("twolevel", "lowerbound"):
         raise ValueError(f"{cfg.model} model fixes its own beta window; drop beta_min/beta_max")
     if cfg.model == "singleton":
-        inst = singleton_instance(
-            beta_min=cfg.beta_min if cfg.beta_min is not None else 0.0,
-            beta_max=cfg.beta_max if cfg.beta_max is not None else 5.0,
-        )
-    elif cfg.model == "twolevel":
-        inst = two_level_instance(cfg.target_q)
-    elif cfg.model == "synthetic":
+        return singleton_instance(**window)
+    if cfg.model == "twolevel":
+        return two_level_instance(cfg.target_q)
+    if cfg.model == "lowerbound":
+        return build_from_grid(cfg.n_factors, cfg.m_grid).expanded
+    if cfg.model == "synthetic":
         if cfg.instance_path is None:
             raise ValueError("synthetic model needs instance_path")
         inst = load_instance(cfg.instance_path)
-    elif cfg.model == "lowerbound":
-        inst = build_from_grid(cfg.n_factors, cfg.m_grid).expanded
-    else:
-        if cfg.graph_path is None:
-            raise ValueError(f"{cfg.model} model needs graph_path")
-        graph = load_graph(cfg.graph_path)
-        kwargs = {}
-        if cfg.beta_min is not None:
-            kwargs["beta_min"] = cfg.beta_min
-        if cfg.beta_max is not None:
-            kwargs["beta_max"] = cfg.beta_max
-        if cfg.model == "ising":
-            inst = enumerate_ising(graph, **kwargs)
-        elif cfg.model == "colorings":
-            inst = enumerate_colorings(graph, cfg.kcolors, **kwargs)
-        else:
-            inst = enumerate_matchings(graph, **kwargs)
-        return inst
-    if cfg.model == "singleton" or (cfg.beta_min is None and cfg.beta_max is None):
-        return inst
-    return CountInstance(
-        inst.support(),
-        cfg.beta_min if cfg.beta_min is not None else inst.beta_min,
-        cfg.beta_max if cfg.beta_max is not None else inst.beta_max,
-        n=inst.n,
-    )
+        window = {"beta_min": inst.beta_min, "beta_max": inst.beta_max} | window
+        return CountInstance(inst.support(), n=inst.n, **window)
+    if cfg.graph_path is None:
+        raise ValueError(f"{cfg.model} model needs graph_path")
+    graph = load_graph(cfg.graph_path)
+    if cfg.model == "ising":
+        return enumerate_ising(graph, **window)
+    if cfg.model == "colorings":
+        return enumerate_colorings(graph, cfg.kcolors, **window)
+    return enumerate_matchings(graph, **window)
 
 
 def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> EstimatorConfig:
@@ -221,10 +211,8 @@ def _run_one_trial(payload) -> TrialRecord:
     started = time.perf_counter()
     if cfg.boost_t is not None:
         result = median_boost(oracle, est_cfg, cfg.boost_t, rng)
-        oracle_calls = oracle.call_count  # all boost repetitions included
     else:
         result = estimate(oracle, est_cfg, rng)
-        oracle_calls = result.oracle_calls
     elapsed = time.perf_counter() - started
     delta, _ = schedule_delta(inst, result.schedule)
     return TrialRecord(
@@ -232,7 +220,7 @@ def _run_one_trial(payload) -> TrialRecord:
         q_true=q_true,
         q_hat=result.q_hat,
         success=bool(abs(result.q_hat - q_true) <= est_cfg.success_margin),
-        oracle_calls=oracle_calls,
+        oracle_calls=oracle.call_count,  # a fresh oracle: every boost repetition counts
         schedule_len=result.schedule_len,
         tpa_points=result.tpa_points,
         schedule_delta=delta,

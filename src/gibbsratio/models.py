@@ -2,9 +2,7 @@
 
 Spin assignments, colorings and matchings are enumerated exhaustively with
 64-bit integer counters, then converted to log-space counts; desk-scale graphs
-only (the enumeration budget caps state spaces at 2^24).  Also provides the
-affine range-normalization trick that maps an integer energy range
-{h_min, ..., h_max} onto {0, 1, ..., n}.
+only (the enumeration budget caps state spaces at 2^24).
 """
 
 from __future__ import annotations
@@ -14,16 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CountInstance, log_partition
+from .instance import CountInstance
 
 __all__ = [
     "GraphSpec",
-    "RangeMap",
     "ENUMERATION_BUDGET",
     "enumerate_ising",
     "enumerate_colorings",
     "enumerate_matchings",
-    "normalize_range",
     "beta_max_for_ground_state",
     "load_graph",
 ]
@@ -62,21 +58,6 @@ class GraphSpec:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class RangeMap:
-    """Affine map recovering the original log ratio after normalization.
-
-    q = scale * q_normalized + offset, with scale = +1 for an energy shift and
-    scale = -1 for a reflection (which also negates the temperature window).
-    """
-
-    scale: int
-    offset: float
-
-    def apply(self, q_normalized: float) -> float:
-        return self.scale * q_normalized + self.offset
 
 
 def load_graph(path) -> GraphSpec:
@@ -188,32 +169,3 @@ def enumerate_matchings(g: GraphSpec, beta_min: float = 0.0, beta_max: float = 2
     support = [(h, int(c)) for h, c in enumerate(counts) if c > 0]
     max_h = support[-1][0]
     return CountInstance.from_counts(support, beta_min, beta_max, n=max(1, max_h))
-
-
-def normalize_range(inst: CountInstance, mode: str) -> tuple[CountInstance, RangeMap]:
-    """Map an integer energy range onto {0, ..., h_max - h_min}.
-
-    mode="shift" subtracts h_min from every energy, leaving the per-beta Gibbs
-    weights untouched; q picks up the offset (beta_max - beta_min) * h_min.
-    mode="reflect" sends h to h_max - h and negates the temperature window, so
-    the weights at beta match the original weights at -beta; the recovered
-    ratio is q = -q' + (beta_max - beta_min) * h_max.
-    """
-    h = inst.energies
-    rounded = np.rint(h)
-    if not np.allclose(h, rounded, rtol=0, atol=1e-9):
-        raise ValueError("range normalization requires integer energies")
-    rounded = rounded.astype(int)
-    span = inst.beta_max - inst.beta_min
-    h_min, h_max = int(rounded[0]), int(rounded[-1])
-    n_new = max(1, h_max - h_min)
-
-    if mode == "shift":
-        support = [(hh - h_min, lc) for hh, lc in zip(rounded, inst.log_counts)]
-        out = CountInstance(support, inst.beta_min, inst.beta_max, n=n_new)
-        return out, RangeMap(scale=1, offset=span * h_min)
-    if mode == "reflect":
-        support = [(h_max - hh, lc) for hh, lc in zip(rounded, inst.log_counts)]
-        out = CountInstance(support, -inst.beta_max, -inst.beta_min, n=n_new)
-        return out, RangeMap(scale=-1, offset=span * h_max)
-    raise ValueError(f"unknown normalization mode {mode!r}")

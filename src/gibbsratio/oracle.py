@@ -87,10 +87,6 @@ class SamplingOracle:
     def reset_count(self) -> None:
         self._calls = 0
 
-    def with_corruption(self, tv_budget: float, mode: str = "uniform") -> "SamplingOracle":
-        """A fresh handle over the same instance with mixture corruption."""
-        return SamplingOracle(self.instance, Corruption(tv_budget, mode))
-
     # -- exact draws ------------------------------------------------------
 
     def _draw(self, betas: np.ndarray, size: int, rng) -> np.ndarray:

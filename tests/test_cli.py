@@ -1,10 +1,12 @@
 """Command-line surface checks via main(argv)."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from gibbsratio.cli import main
+from gibbsratio.cli import _experiment_config, build_parser, main
+from gibbsratio.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -80,7 +82,43 @@ class TestTrials:
         assert summary["corruption_mode"] == "adversarial_max_h"
 
 
+class TestConfigFlags:
+    def test_every_flag_lands_on_its_field(self):
+        args = build_parser().parse_args([
+            "trials", "--model", "colorings", "--q", "3.5", "--instance", "inst.json",
+            "--graph", "graph.txt", "--colors", "4", "--n-factors", "8", "--m-grid", "3",
+            "--beta-min", "0.1", "--beta-max", "2.5", "--eps", "0.25", "--case", "II",
+            "--d", "8", "--gamma", "0.3", "--r", "11", "--m", "2.5", "--lam", "0.7",
+            "--trials", "7", "--seed", "9", "--tv-budget", "0.05",
+            "--corruption-mode", "adversarial_min_h", "--boost", "3", "--workers", "2",
+        ])
+        expected = ExperimentConfig(
+            model="colorings", target_q=3.5, instance_path="inst.json", graph_path="graph.txt",
+            kcolors=4, n_factors=8, m_grid=3, beta_min=0.1, beta_max=2.5, epsilon=0.25,
+            case="II", d=8, gamma=0.3, r=11, m=2.5, lam=0.7, trials=7, master_seed=9,
+            tv_budget=0.05, corruption_mode="adversarial_min_h", boost_t=3, workers=2,
+        )
+        # every field is off its default, so a flag that misses its field shows
+        assert all(getattr(expected, f.name) != f.default for f in fields(ExperimentConfig))
+        assert _experiment_config(args) == expected
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--trials", "3"),
+        ("estimate", "--workers", "2"),
+        ("schedule", "--trials", "3"),
+        ("schedule", "--boost", "3"),
+        ("schedule", "--workers", "2"),
+        ("schedule", "--format", "csv"),
+        ("schedule", "--timing"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_flag_the_subcommand_ignores_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--tv-budget", "-0.1", "tv_budget must lie in [0, 1)"),
         ("--boost", "2", "boost_t must be a positive odd integer"),

@@ -233,7 +233,7 @@ class TestConfig:
     def test_detect_case(self):
         assert detect_case(two_level_instance(3.0)) == "II"
         assert detect_case(singleton_instance()) == "I"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"every energy is 0 or in \[1, n\]"):
             detect_case(CountInstance([(0.5, 0.0)], 0.0, 1.0))
 
 

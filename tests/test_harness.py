@@ -57,12 +57,23 @@ class TestModelDispatch:
             assert inst.support_size >= 2
 
     def test_graph_beta_override(self, tmp_path):
-        path = tmp_path / "square.txt"
-        path.write_text("0 1\n1 2\n2 3\n3 0\n")
-        inst = build_model_instance(
-            ExperimentConfig(model="ising", graph_path=str(path), beta_max=0.9, trials=1)
-        )
-        assert inst.beta_max == 0.9
+        # each overridable model, one end at a time: that end moves, the other
+        # end, the support and n stay as the model builds them
+        graph = tmp_path / "square.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+        synthetic = tmp_path / "inst.json"
+        save_instance(two_level_instance(2.5), synthetic)
+        paths = dict(graph_path=str(graph), instance_path=str(synthetic))
+        for model in ("singleton", "synthetic", "ising", "colorings", "matchings"):
+            base = build_model_instance(ExperimentConfig(model=model, trials=1, **paths))
+            for end, value in (("beta_min", 0.1), ("beta_max", 0.9)):
+                inst = build_model_instance(
+                    ExperimentConfig(model=model, trials=1, **paths, **{end: value})
+                )
+                want = {"beta_min": base.beta_min, "beta_max": base.beta_max, end: value}
+                assert (inst.beta_min, inst.beta_max) == (want["beta_min"], want["beta_max"])
+                assert inst.support() == base.support()
+                assert inst.n == base.n
 
     def test_fixed_window_models_reject_override(self):
         # twolevel and lowerbound derive their window from the target ratio

@@ -3,22 +3,17 @@
 import itertools
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from gibbsratio.instance import CountInstance, log_partition, log_ratio_true
+from gibbsratio.instance import log_partition
 from gibbsratio.models import (
     BudgetExceededError,
     GraphSpec,
-    RangeMap,
     beta_max_for_ground_state,
     enumerate_colorings,
     enumerate_ising,
     enumerate_matchings,
     load_graph,
-    normalize_range,
 )
 
 FOUR_CYCLE = GraphSpec(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
@@ -156,74 +151,6 @@ class TestMatchings:
     def test_z_at_zero_counts_all_matchings(self):
         inst = enumerate_matchings(FOUR_CYCLE)
         assert math.exp(log_partition(inst, 0.0)) == pytest.approx(7.0)
-
-
-class TestNormalizeRange:
-    def setup_method(self):
-        self.inst = CountInstance([(3.0, 0.0), (5.0, 0.0)], 0.25, 1.75)
-
-    def test_shift(self):
-        out, rmap = normalize_range(self.inst, "shift")
-        assert out.energies.tolist() == [0.0, 2.0]
-        assert (out.beta_min, out.beta_max) == (0.25, 1.75)
-        assert rmap == RangeMap(scale=1, offset=1.5 * 3)
-
-    def test_reflect(self):
-        out, rmap = normalize_range(self.inst, "reflect")
-        assert out.energies.tolist() == [0.0, 2.0]
-        assert (out.beta_min, out.beta_max) == (-1.75, -0.25)
-        assert rmap == RangeMap(scale=-1, offset=1.5 * 5)
-
-    @pytest.mark.parametrize("mode", ["shift", "reflect"])
-    def test_round_trip_recovers_ratio(self, mode):
-        out, rmap = normalize_range(self.inst, mode)
-        q = rmap.apply(log_ratio_true(out))
-        assert q == pytest.approx(log_ratio_true(self.inst), abs=1e-12)
-
-    def test_shift_preserves_weights(self):
-        out, _ = normalize_range(self.inst, "shift")
-        rng = np.random.default_rng(3)
-        for beta in rng.uniform(-2, 2, size=5):
-            orig = np.exp(self.inst.log_counts - beta * self.inst.energies)
-            new = np.exp(out.log_counts - beta * out.energies)
-            np.testing.assert_allclose(orig / orig.sum(), new / new.sum(), atol=1e-12)
-
-    def test_reflect_matches_negated_temperature(self):
-        out, _ = normalize_range(self.inst, "reflect")
-        rng = np.random.default_rng(4)
-        for beta in rng.uniform(-2, 2, size=5):
-            orig = np.exp(self.inst.log_counts - (-beta) * self.inst.energies)
-            new = np.exp(out.log_counts - beta * out.energies)
-            # reflected support is reversed relative to the original order
-            np.testing.assert_allclose(orig / orig.sum(), (new / new.sum())[::-1], atol=1e-12)
-
-    def test_rejects_non_integer_support(self):
-        inst = CountInstance([(0.5, 0.0), (1.5, 0.0)], 0.0, 1.0)
-        with pytest.raises(ValueError):
-            normalize_range(inst, "shift")
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            normalize_range(self.inst, "fold")
-
-    @given(
-        h_min=st.integers(-10, 10),
-        spread=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True),
-        span=st.floats(0.5, 4.0),
-        mode=st.sampled_from(["shift", "reflect"]),
-    )
-    @settings(max_examples=60)
-    def test_round_trip_property(self, h_min, spread, span, mode):
-        support = [(float(h_min), 0.2)] + [(float(h_min + s), -0.4) for s in spread]
-        # negative energies are rejected at construction, so lift into range
-        lift = max(0, -h_min)
-        support = [(h + lift, lc) for h, lc in support]
-        inst = CountInstance(support, 1.0, 1.0 + span)
-        out, rmap = normalize_range(inst, mode)
-        assert out.energies[0] == 0.0
-        assert rmap.apply(log_ratio_true(out)) == pytest.approx(
-            log_ratio_true(inst), rel=1e-10, abs=1e-10
-        )
 
 
 def test_beta_max_for_ground_state_formula():

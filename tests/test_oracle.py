@@ -164,7 +164,7 @@ class TestCallCounting:
         assert oracle.call_count == 0
 
     def test_corrupted_draws_counted_once_each(self, two_level):
-        oracle = SamplingOracle(two_level).with_corruption(0.5, "uniform")
+        oracle = SamplingOracle(two_level, Corruption(0.5, "uniform"))
         rng = np.random.default_rng(9)
         oracle.sample_many(0.0, 25, rng)
         assert oracle.call_count == 25
@@ -173,7 +173,7 @@ class TestCallCounting:
 class TestCorruption:
     def test_zero_budget_identical_stream(self, two_level):
         exact = SamplingOracle(two_level)
-        wrapped = SamplingOracle(two_level).with_corruption(0.0, "uniform")
+        wrapped = SamplingOracle(two_level, Corruption(0.0, "uniform"))
         a = exact.sample_many(0.9, 500, np.random.default_rng(10))
         b = wrapped.sample_many(0.9, 500, np.random.default_rng(10))
         np.testing.assert_array_equal(a, b)
@@ -181,9 +181,9 @@ class TestCorruption:
 
     def test_budget_validation(self, two_level):
         with pytest.raises(ValueError):
-            SamplingOracle(two_level).with_corruption(1.0)
+            SamplingOracle(two_level, Corruption(1.0))
         with pytest.raises(ValueError):
-            SamplingOracle(two_level).with_corruption(-0.1)
+            SamplingOracle(two_level, Corruption(-0.1))
         with pytest.raises(ValueError):
             Corruption(0.1, "bogus")
 
@@ -193,7 +193,7 @@ class TestCorruption:
         # so a 0.5 uniform mixture moves TV by about 0.25; it must stay <= 0.5
         beta = 10.0
         budget = 0.5
-        oracle = SamplingOracle(two_level).with_corruption(budget, "uniform")
+        oracle = SamplingOracle(two_level, Corruption(budget, "uniform"))
         rng = np.random.default_rng(11)
         n = 200_000
         draws = oracle.sample_many(beta, n, rng)
@@ -205,7 +205,7 @@ class TestCorruption:
     def test_uniform_corruption_matches_mixture_law(self, two_level):
         beta = math.log(3.0)
         budget = 0.3
-        oracle = SamplingOracle(two_level).with_corruption(budget, "uniform")
+        oracle = SamplingOracle(two_level, Corruption(budget, "uniform"))
         rng = np.random.default_rng(12)
         n = 200_000
         draws = oracle.sample_many(beta, n, rng)
@@ -217,7 +217,7 @@ class TestCorruption:
     @pytest.mark.parametrize("mode,target", [("adversarial_max_h", 1.0), ("adversarial_min_h", 0.0)])
     def test_degenerate_modes_push_mass_to_extreme(self, two_level, mode, target):
         budget = 0.4
-        oracle = SamplingOracle(two_level).with_corruption(budget, mode)
+        oracle = SamplingOracle(two_level, Corruption(budget, mode))
         rng = np.random.default_rng(13)
         n = 100_000
         draws = oracle.sample_many(0.0, n, rng)
@@ -227,7 +227,7 @@ class TestCorruption:
     def test_corrupted_vector_draw(self, two_level):
         # at these betas the exact oracle almost never emits h = 1, so about
         # half of every row is the adversarial point mass
-        oracle = SamplingOracle(two_level).with_corruption(0.5, "adversarial_max_h")
+        oracle = SamplingOracle(two_level, Corruption(0.5, "adversarial_max_h"))
         betas = np.array([20.0, 30.0, 40.0])
         draws = oracle.sample_many(betas, 4000, np.random.default_rng(14))
         assert draws.shape == (3, 4000)
