@@ -25,6 +25,7 @@ from .harness import (
     TrialRecord,
     run_suite,
     run_trials,
+    verify_lemma10,
 )
 from .instance import (
     CountInstance,
@@ -46,7 +47,6 @@ from .lowerbound import (
     curvature_sup,
     perturb,
     sensitivity,
-    verify_lemma10,
 )
 from .models import (
     GraphSpec,

@@ -1,8 +1,9 @@
 """Command-line surface: single estimates, trial batches, diagnostics, suites.
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
-summaries go to stderr so machine output stays clean.  Suites exit 0 on pass
-and 2 on failure.
+summaries go to stderr so machine output stays clean.  Suites and lowerbound
+print one check report and exit 0 on pass and 2 on failure; a rejected run
+setting or a model too large to enumerate is a one-line usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import fields
+from typing import NoReturn
 
 from .estimator import tau_rho
 from .harness import (
@@ -24,10 +26,12 @@ from .harness import (
     run_suite,
     run_trials,
     trial_rng,
+    verify_lemma10,
     write_records,
 )
 from .instance import log_ratio_true, schedule_delta
-from .lowerbound import build, build_from_grid, verify_lemma10
+from .lowerbound import build, build_from_grid
+from .models import BudgetExceededError
 from .oracle import CORRUPTION_MODES, Corruption, SamplingOracle
 from .tpa import generate_schedule
 
@@ -94,8 +98,12 @@ def _experiment_config(args) -> ExperimentConfig:
     try:
         return ExperimentConfig(**{name: getattr(args, name) for name in names})
     except ValueError as exc:
-        print(f"gibbsratio {args.command}: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        _usage_error(args, exc)
+
+
+def _usage_error(args, exc: Exception) -> NoReturn:
+    print(f"gibbsratio {args.command}: error: {exc}", file=sys.stderr)
+    raise SystemExit(2) from None
 
 
 def _open_out(args):
@@ -163,14 +171,14 @@ def _cmd_lowerbound(args) -> int:
         lb = build(args.q_bar, args.n, args.c2)
     else:
         lb = build_from_grid(args.n_factors, args.m_grid)
-    report = verify_lemma10(lb)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 2
+    return _print_report(verify_lemma10(lb))
 
 
 def _cmd_suite(args) -> int:
-    report = run_suite(args.name)
+    return _print_report(run_suite(args.name))
+
+
+def _print_report(report) -> int:
     for line in report.lines():
         print(line)
     return 0 if report.passed else 2
@@ -223,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BudgetExceededError as exc:  # a model too large to enumerate is a usage error
+        _usage_error(args, exc)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ __all__ = [
     "epsilon_tilde",
     "log_upper_incomplete_gamma",
     "tau_rho",
+    "minimize_on_grid",
     "min_m",
     "build_config",
     "detect_case",
@@ -88,7 +89,28 @@ class TauResult(NamedTuple):
     argmin_tau: float
 
 
-def _tau_objective_grid(taus: np.ndarray, d: int, rho: float) -> np.ndarray:
+def minimize_on_grid(f, grid: np.ndarray, xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at the lower of f's best grid point and its refinement.
+
+    The scan finds the basin without assuming ``f`` unimodal (``f`` takes the
+    grid array and a scalar alike); bounded Brent refines that cell to ``xatol``.
+    """
+    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
+
+    values = f(grid)
+    i = int(values.argmin())
+    best = minimize_scalar(
+        f,
+        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": xatol},
+    )
+    if values[i] < best.fun:
+        return float(grid[i]), float(values[i])
+    return float(best.x), float(best.fun)
+
+
+def _tau_objective(taus, d: int, rho: float):
     # vectorized over tau: one incomplete-gamma tail per grid point
     log_tail = (
         log_upper_incomplete_gamma(d + 2, taus * d)
@@ -100,25 +122,16 @@ def _tau_objective_grid(taus: np.ndarray, d: int, rho: float) -> np.ndarray:
 def tau_rho(d: int, rho: float) -> TauResult:
     """Minimize tau + Gamma(d+2, tau*d) / ((1-rho) d d!) over tau >= 0.
 
-    A 2048-point log-spaced scan over [1e-3, 64] locates the basin (the
-    objective is not assumed unimodal), then a bounded Brent search
-    (``minimize_scalar(method="bounded")``) refines the best cell to 1e-9.
+    ``minimize_on_grid`` scans 2048 log-spaced points over [1e-3, 64] and
+    refines the best cell to 1e-9.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
-
     grid = np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))
-    i = int(_tau_objective_grid(grid, d, rho).argmin())
-    best = minimize_scalar(
-        lambda t: float(_tau_objective_grid(np.array([t]), d, rho)[0]),
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return TauResult(value=float(best.fun), argmin_tau=float(best.x))
+    tau, value = minimize_on_grid(lambda t: _tau_objective(t, d, rho), grid, xatol=1e-9)
+    return TauResult(value=value, argmin_tau=tau)
 
 
 def good_schedule_threshold(gamma: float, r: int, eps_tilde: float) -> float:

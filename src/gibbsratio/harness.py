@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .instance import (
     singleton_instance,
     two_level_instance,
 )
-from .lowerbound import build_from_grid, verify_lemma10
+from .lowerbound import LowerBoundInstance, build_from_grid, curvature_sup, sensitivity
 from .models import (
     enumerate_colorings,
     enumerate_ising,
@@ -56,12 +56,12 @@ __all__ = [
     "build_model_instance",
     "run_trials",
     "run_suite",
+    "verify_lemma10",
     "wilson_interval",
     "write_records",
 ]
 
 MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings", "lowerbound")
-SUITES = ("distribution", "accounting", "lemma10", "tau_table")
 
 # d -> (tau_rho(d, 75/76), argmin tau) as tabulated for the schedule-quality bound
 TAU_TABLE = {
@@ -76,18 +76,6 @@ TAU_TABLE = {
     256: (1.260, 1.241),
     512: (1.184, 1.170),
 }
-
-RECORD_FIELDS = (
-    "seed",
-    "q_true",
-    "q_hat",
-    "success",
-    "oracle_calls",
-    "schedule_len",
-    "tpa_points",
-    "schedule_delta",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -140,13 +128,14 @@ class TrialRecord:
     schedule_len: int
     tpa_points: int
     schedule_delta: float
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # opt-in: serialized only with include_timing
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        data = {name: getattr(self, name) for name in RECORD_FIELDS}
-        if include_timing:
-            data["wall_time"] = self.wall_time
-        return data
+        return {name: getattr(self, name) for name in _record_names(include_timing)}
+
+
+def _record_names(include_timing: bool) -> list[str]:
+    return [f.name for f in fields(TrialRecord) if include_timing or f.name != "wall_time"]
 
 
 @dataclass
@@ -296,7 +285,7 @@ def write_records(records, stream, fmt: str = "ndjson", include_timing: bool = F
         for rec in records:
             stream.write(json.dumps(rec.to_dict(include_timing)) + "\n")
     elif fmt == "csv":
-        names = list(RECORD_FIELDS) + (["wall_time"] if include_timing else [])
+        names = _record_names(include_timing)
         stream.write(",".join(names) + "\n")
         for rec in records:
             data = rec.to_dict(include_timing)
@@ -468,50 +457,43 @@ def _suite_accounting(seed: int = 77) -> SuiteReport:
     return report
 
 
-def _suite_lemma10() -> SuiteReport:
-    report = SuiteReport("lemma10")
-    for n_factors, m_grid in ((16, 2), (32, 3)):
-        res = verify_lemma10(build_from_grid(n_factors, m_grid))
-        label = f"N={n_factors} m={m_grid}"
-        report.add(
-            f"{label} log-ratio sandwich",
-            res.q_true,
-            res.q_lower,
-            f"inside ({res.q_lower:.4f}, {res.q_upper:.4f})",
-            res.sandwich_ok,
-        )
-        report.add(
-            f"{label} sensitivity floor",
-            res.sensitivity,
-            res.sensitivity_floor,
-            "strictly above",
-            res.sensitivity_ok,
-        )
-        report.add(
-            f"{label} curvature cap",
-            res.kappa_ell_bound,
-            res.kappa_cap,
-            "strictly below",
-            res.kappa_ok,
-        )
-        report.add(
-            f"{label} sensitivity^2/curvature floor",
-            res.ratio,
-            res.ratio_floor,
-            "strictly above",
-            res.ratio_ok,
-        )
+def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
+    """Check the four strict inequalities of the geometric lower-bound family."""
+    n, m = lb.n_factors, lb.m_grid
+    label = f"N={n} m={m}"
+    report = SuiteReport(f"lemma10 {label}")
+    q_true = log_ratio_true(lb.expanded)
+    mid = (m + n / 2.0) * (n - 1) * math.log(2.0)
+    q_lower, q_upper = mid - n * math.log(2.0), mid + 2.0
+    sandwich = f"inside ({q_lower:.4f}, {q_upper:.4f})"
+    report.add(f"{label} log-ratio sandwich", q_true, q_lower, sandwich, q_lower < q_true < q_upper)
+    rho, rho_floor = sensitivity(lb), (n / 2.0 - 2.0) / m
+    report.add(f"{label} sensitivity floor", rho, rho_floor, "strictly above", rho > rho_floor)
+    kappa, kappa_cap = curvature_sup(lb).kappa_ell_bound, 4.0 / m ** 2
+    report.add(f"{label} curvature cap", kappa, kappa_cap, "strictly below", kappa < kappa_cap)
+    ratio, ratio_floor = rho ** 2 / kappa, (n / 4.0 - 1.0) ** 2
+    report.add(
+        f"{label} sensitivity^2/curvature floor", ratio, ratio_floor, "strictly above",
+        ratio > ratio_floor,
+    )
     return report
+
+
+def _suite_lemma10() -> SuiteReport:
+    reports = [verify_lemma10(build_from_grid(n, m)) for n, m in ((16, 2), (32, 3))]
+    return SuiteReport("lemma10", [check for report in reports for check in report.checks])
+
+
+SUITES = {
+    "distribution": _suite_distribution,
+    "accounting": _suite_accounting,
+    "lemma10": _suite_lemma10,
+    "tau_table": _suite_tau_table,
+}
 
 
 def run_suite(name: str) -> SuiteReport:
     """Run one named acceptance suite with pinned seeds."""
-    if name == "tau_table":
-        return _suite_tau_table()
-    if name == "distribution":
-        return _suite_distribution()
-    if name == "accounting":
-        return _suite_accounting()
-    if name == "lemma10":
-        return _suite_lemma10()
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
+    return SUITES[name]()

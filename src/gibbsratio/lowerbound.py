@@ -18,19 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CountInstance, energy_variance, log_partition, log_ratio_true
+from .estimator import minimize_on_grid
+from .instance import CountInstance, energy_variance
 
 __all__ = [
     "LowerBoundInstance",
     "CurvatureReport",
-    "LowerBoundReport",
     "MIN_C2",
     "build",
     "build_from_grid",
     "perturb",
     "sensitivity",
     "curvature_sup",
-    "verify_lemma10",
 ]
 
 MIN_C2 = math.sqrt(2.0 / math.log(2.0))  # smallest admissible grid coefficient
@@ -171,100 +170,19 @@ def curvature_sup(lb: LowerBoundInstance) -> CurvatureReport:
     """Numeric supremum of z'' on the window plus the analytic per-level cap.
 
     z'' is a sum of single-bump terms peaking at u = a_k, so the supremum over
-    all beta is attained for u in [a_N, a_1]; a 512-point grid is refined by
-    a bounded Brent search (``minimize_scalar(method="bounded")``) on the
-    best cell.
+    all beta is attained for u in [a_N, a_1]; ``minimize_on_grid`` scans a
+    512-point grid of that window for -z'' and refines the best cell.
     """
     if lb.n_factors < 2:
         raise ValueError("curvature cap needs at least two factors")
-    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
-
     a = lb.a_coeffs
     beta_lo = -lb.m_grid * math.log(a[0])
     beta_hi = -lb.m_grid * math.log(a[-1])
-    grid = np.linspace(beta_lo, beta_hi, 512)
-    values = energy_variance(lb.expanded, grid)
-    i = int(values.argmax())
-    best = minimize_scalar(
+    _, neg_sup = minimize_on_grid(
         lambda b: -energy_variance(lb.expanded, b),
-        bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10 * max(1.0, beta_hi)},
+        np.linspace(beta_lo, beta_hi, 512),
+        xatol=1e-10 * max(1.0, beta_hi),
     )
-    numeric = max(float(values[i]), -float(best.fun))
     return CurvatureReport(
-        numeric_sup=numeric, kappa_ell_bound=float(_kappa_ell_values(lb).max())
-    )
-
-
-@dataclass(frozen=True)
-class LowerBoundReport:
-    """Quantitative properties of one built instance, each with a verdict."""
-
-    n_factors: int
-    m_grid: int
-    q_true: float
-    q_lower: float
-    q_upper: float
-    sandwich_ok: bool
-    sensitivity: float
-    sensitivity_floor: float
-    sensitivity_ok: bool
-    kappa_numeric: float
-    kappa_ell_bound: float
-    kappa_cap: float
-    kappa_ok: bool
-    ratio: float
-    ratio_floor: float
-    ratio_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.sandwich_ok and self.sensitivity_ok and self.kappa_ok and self.ratio_ok
-
-    def lines(self) -> list[str]:
-        mark = lambda ok: "PASS" if ok else "FAIL"
-        return [
-            f"lower-bound instance N={self.n_factors} m={self.m_grid}:",
-            f"  [{mark(self.sandwich_ok)}] log-ratio sandwich: "
-            f"{self.q_lower:.6f} < q*={self.q_true:.6f} < {self.q_upper:.6f}",
-            f"  [{mark(self.sensitivity_ok)}] sensitivity {self.sensitivity:.6f} > "
-            f"(N/2-2)/m = {self.sensitivity_floor:.6f}",
-            f"  [{mark(self.kappa_ok)}] curvature cap {self.kappa_ell_bound:.6f} < "
-            f"4/m^2 = {self.kappa_cap:.6f} (numeric sup {self.kappa_numeric:.6f})",
-            f"  [{mark(self.ratio_ok)}] sensitivity^2/curvature {self.ratio:.4f} > "
-            f"(N/4-1)^2 = {self.ratio_floor:.4f}",
-        ]
-
-
-def verify_lemma10(lb: LowerBoundInstance) -> LowerBoundReport:
-    """Check the quantitative guarantees of the geometric family numerically."""
-    n, m = lb.n_factors, lb.m_grid
-    q_true = log_ratio_true(lb.expanded)
-    mid = (m + n / 2.0) * (n - 1) * math.log(2.0)
-    q_lower = mid - n * math.log(2.0)
-    q_upper = mid + 2.0
-    rho = sensitivity(lb)
-    rho_floor = (n / 2.0 - 2.0) / m
-    curv = curvature_sup(lb)
-    kappa_cap = 4.0 / m ** 2
-    ratio = rho ** 2 / curv.kappa_ell_bound
-    ratio_floor = (n / 4.0 - 1.0) ** 2
-    return LowerBoundReport(
-        n_factors=n,
-        m_grid=m,
-        q_true=q_true,
-        q_lower=q_lower,
-        q_upper=q_upper,
-        sandwich_ok=q_lower < q_true < q_upper,
-        sensitivity=rho,
-        sensitivity_floor=rho_floor,
-        sensitivity_ok=rho > rho_floor,
-        kappa_numeric=curv.numeric_sup,
-        kappa_ell_bound=curv.kappa_ell_bound,
-        kappa_cap=kappa_cap,
-        kappa_ok=curv.kappa_ell_bound < kappa_cap,
-        ratio=ratio,
-        ratio_floor=ratio_floor,
-        ratio_ok=ratio > ratio_floor,
+        numeric_sup=-neg_sup, kappa_ell_bound=float(_kappa_ell_values(lb).max())
     )

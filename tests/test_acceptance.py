@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gibbsratio.estimator import build_config, estimate, tau_rho
-from gibbsratio.harness import ExperimentConfig, run_trials, wilson_interval
+from gibbsratio.harness import ExperimentConfig, run_trials, verify_lemma10, wilson_interval
 from gibbsratio.instance import (
     CountInstance,
     Schedule,
@@ -24,7 +24,7 @@ from gibbsratio.instance import (
     singleton_instance,
     two_level_instance,
 )
-from gibbsratio.lowerbound import build_from_grid, perturb, verify_lemma10
+from gibbsratio.lowerbound import build_from_grid, perturb
 from gibbsratio.oracle import CORRUPTION_MODES, SamplingOracle
 from gibbsratio.tpa import generate_schedule, tpa_multi, tpa_step
 
@@ -205,10 +205,12 @@ def test_criterion_10_lower_bound_instance_properties():
     started = time.perf_counter()
     for n_factors, m_grid in ((16, 2), (32, 3)):
         report = verify_lemma10(build_from_grid(n_factors, m_grid))
-        assert report.sandwich_ok, report.lines()
-        assert report.sensitivity_ok, report.lines()
-        assert report.kappa_ok, report.lines()
-        assert report.ratio_ok, report.lines()
+        checks = {check.name: check for check in report.checks}
+        label = f"N={n_factors} m={m_grid}"
+        assert checks[f"{label} log-ratio sandwich"].passed, report.lines()
+        assert checks[f"{label} sensitivity floor"].passed, report.lines()
+        assert checks[f"{label} curvature cap"].passed, report.lines()
+        assert checks[f"{label} sensitivity^2/curvature floor"].passed, report.lines()
     lb = build_from_grid(16, 2)
     betas = np.linspace(-1.0, lb.beta_max + 1.0, 10)
     for nu in (0.01, 0.1, 1.0):
@@ -222,6 +224,52 @@ def test_criterion_10_lower_bound_instance_properties():
     assert elapsed < 5.0
     verdict(10, f"sandwich, sensitivity, curvature, ratio inequalities strict for "
                 f"(16,2) and (32,3); tilt identity within 1e-9 ({elapsed:.2f}s)")
+
+
+def sensitive_batch(model, graph_path, **knobs):
+    """200 seeded trials on the 4x4 Ising grid or on build_from_grid(16, 2).
+
+    Unlike the two-level instance, both fail often once m drops below the
+    admissible rate, so a success check here can tell a broken estimator.
+    """
+    model_fields = {
+        "ising": {"graph_path": str(graph_path)},
+        "lowerbound": {"n_factors": 16, "m_grid": 2},
+    }[model]
+    return run_trials(ExperimentConfig(
+        model=model, epsilon=0.5, trials=200, master_seed=11, **model_fields, **knobs
+    ))
+
+
+@pytest.mark.statistical
+@pytest.mark.parametrize("model", ["ising", "lowerbound"])
+def test_criterion_12_success_on_sensitive_instances(model, grid4_graph):
+    started = time.perf_counter()
+    batch = sensitive_batch(model, grid4_graph)
+    est = batch.estimator_config
+    rate = batch.summary["success_rate"]
+    assert rate >= 0.75
+    # the proof split: a good schedule is likely, and PPE then succeeds often
+    good = [rec for rec in batch.records if rec.schedule_delta <= est.delta_threshold]
+    good_share = len(good) / len(batch.records)
+    rho = 0.75 / (1.0 - est.gamma)
+    assert good_share >= rho
+    good_success = sum(rec.success for rec in good) / len(good)
+    assert good_success >= 1.0 - est.gamma
+    elapsed = time.perf_counter() - started
+    verdict(12, f"{model}: success rate {rate:.3f} >= 0.75 (k={est.k}); good schedules "
+                f"{good_share:.3f} >= rho={rho:.3f}, success given good {good_success:.3f} "
+                f">= {1.0 - est.gamma:.2f} ({elapsed:.2f}s)")
+
+
+@pytest.mark.statistical
+@pytest.mark.parametrize("model", ["ising", "lowerbound"])
+def test_criterion_12_negative_control_below_the_rate(model, grid4_graph):
+    batch = sensitive_batch(model, grid4_graph, m=0.1)
+    rate = batch.summary["success_rate"]
+    assert rate < 0.75
+    verdict(12, f"{model}: at m=0.1 (k={batch.estimator_config.k}) success rate "
+                f"{rate:.3f} < 0.75, so the success check has power")
 
 
 @pytest.mark.slow

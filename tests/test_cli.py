@@ -131,6 +131,17 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"gibbsratio trials: error: {message}\n"
 
+    def test_model_over_the_enumeration_budget_exits_2_with_one_line(self, grid4_graph, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--model", "colorings", "--graph", str(grid4_graph)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gibbsratio estimate: error: 3-colorings on 16 vertices has 43046721 states, "
+            "above the enumeration budget 16777216\n"
+        )
+
     def test_error_past_the_config_keeps_its_traceback(self):
         with pytest.raises(ValueError, match="instance_path"):
             main(["trials", "--model", "synthetic"])
@@ -170,6 +181,20 @@ class TestLowerbound:
         code, out, _ = run_cli(capsys, "lowerbound", "--q-bar", "85", "--n", "12")
         assert code == 0
         assert "N=16 m=2" in out
+
+    def test_prints_the_lemma10_report(self, capsys):
+        code, out, _ = run_cli(capsys, "lowerbound", "--n-factors", "16", "--m-grid", "2")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 5
+        assert lines[0] == "suite lemma10 N=16 m=2: PASS"
+        assert lines[1].startswith("  [PASS] N=16 m=2 log-ratio sandwich: observed 103.972")
+
+    def test_failing_inequality_exits_2(self, capsys):
+        # two factors: sensitivity^2/curvature 1/18 stays below (N/4-1)^2 = 1/4
+        code, out, _ = run_cli(capsys, "lowerbound", "--n-factors", "2", "--m-grid", "1")
+        assert code == 2
+        assert out.startswith("suite lemma10 N=2 m=1: FAIL")
+        assert "[FAIL] N=2 m=1 sensitivity^2/curvature floor" in out
 
 
 class TestSuite:

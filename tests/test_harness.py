@@ -16,9 +16,11 @@ from gibbsratio.harness import (
     run_suite,
     run_trials,
     trial_rng,
+    verify_lemma10,
     wilson_interval,
     write_records,
 )
+from gibbsratio.lowerbound import build_from_grid
 from gibbsratio.instance import log_ratio_true, save_instance, two_level_instance
 
 SMALL = dict(model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0, trials=25)
@@ -254,6 +256,13 @@ class TestWriteRecords:
         assert lines[0].startswith("seed,q_true,q_hat,success,")
         assert len(lines) == 3
 
+    def test_csv_header_is_the_record_fields(self):
+        names = "seed,q_true,q_hat,success,oracle_calls,schedule_len,tpa_points,schedule_delta"
+        for include_timing, header in ((False, names), (True, names + ",wall_time")):
+            buf = io.StringIO()
+            write_records([], buf, fmt="csv", include_timing=include_timing)
+            assert buf.getvalue() == header + "\n"
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             write_records([], io.StringIO(), fmt="parquet")
@@ -277,6 +286,11 @@ class TestSuites:
     def test_lemma10_suite(self):
         report = run_suite("lemma10")
         assert report.passed
+
+    def test_lemma10_suite_joins_the_instance_reports(self):
+        parts = [verify_lemma10(build_from_grid(16, 2)), verify_lemma10(build_from_grid(32, 3))]
+        assert [part.suite for part in parts] == ["lemma10 N=16 m=2", "lemma10 N=32 m=3"]
+        assert run_suite("lemma10").checks == parts[0].checks + parts[1].checks
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

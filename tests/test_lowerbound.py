@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbsratio.harness import verify_lemma10
 from gibbsratio.instance import energy_variance, log_partition, log_ratio_true, mean_energy
 from gibbsratio.lowerbound import (
     MIN_C2,
@@ -13,7 +14,6 @@ from gibbsratio.lowerbound import (
     curvature_sup,
     perturb,
     sensitivity,
-    verify_lemma10,
     _expand_log_coefficients,
 )
 
@@ -156,25 +156,45 @@ class TestCurvature:
             assert report.numeric_sup <= report.kappa_ell_bound <= 4.0 / m_grid ** 2 + 1e-12
 
 
+LEMMA10_CHECKS = (
+    "log-ratio sandwich",
+    "sensitivity floor",
+    "curvature cap",
+    "sensitivity^2/curvature floor",
+)
+
+
+def lemma10_checks(n_factors, m_grid):
+    """The four Lemma 10 checks of one instance, keyed by inequality."""
+    report = verify_lemma10(build_from_grid(n_factors, m_grid))
+    prefix = f"N={n_factors} m={m_grid} "
+    checks = {check.name.removeprefix(prefix): check for check in report.checks}
+    assert tuple(checks) == LEMMA10_CHECKS
+    return report, checks
+
+
 class TestLemma10Report:
     @pytest.mark.parametrize("n_factors,m_grid", [(16, 2), (32, 3)])
     def test_all_inequalities_pass(self, n_factors, m_grid):
-        report = verify_lemma10(build_from_grid(n_factors, m_grid))
-        assert report.sandwich_ok
-        assert report.sensitivity_ok
-        assert report.kappa_ok
-        assert report.ratio_ok
+        report, checks = lemma10_checks(n_factors, m_grid)
+        assert checks["log-ratio sandwich"].passed
+        assert checks["sensitivity floor"].passed
+        assert checks["curvature cap"].passed
+        assert checks["sensitivity^2/curvature floor"].passed
         assert report.passed
-        assert report.ratio > (n_factors / 4 - 1) ** 2
+        ratio = checks["sensitivity^2/curvature floor"].observed
+        assert ratio > (n_factors / 4 - 1) ** 2
 
     def test_sandwich_sweep(self):
         # strict inequalities across the whole small-instance range
         for n_factors in range(8, 65):
             for m_grid in (1, 2, 4):
-                report = verify_lemma10(build_from_grid(n_factors, m_grid))
-                assert report.sandwich_ok and report.ratio_ok, (n_factors, m_grid)
+                _, checks = lemma10_checks(n_factors, m_grid)
+                assert checks["log-ratio sandwich"].passed, (n_factors, m_grid)
+                assert checks["sensitivity^2/curvature floor"].passed, (n_factors, m_grid)
 
     def test_report_lines_render(self):
         report = verify_lemma10(build_from_grid(16, 2))
         text = "\n".join(report.lines())
+        assert text.startswith("suite lemma10 N=16 m=2: PASS")
         assert "PASS" in text and "FAIL" not in text
