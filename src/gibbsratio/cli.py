@@ -167,10 +167,13 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    if args.q_bar is not None:
-        lb = build(args.q_bar, args.n, args.c2)
-    else:
-        lb = build_from_grid(args.n_factors, args.m_grid)
+    try:  # sizes the instance cannot take are usage errors (exit 2)
+        if args.q_bar is not None:
+            lb = build(args.q_bar, args.n, args.c2)
+        else:
+            lb = build_from_grid(args.n_factors, args.m_grid)
+    except ValueError as exc:
+        _usage_error(args, exc)
     return _print_report(verify_lemma10(lb))
 
 

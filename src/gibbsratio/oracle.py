@@ -17,6 +17,11 @@ levels, not ``np.cumsum``, which is slower at hundreds of betas or more
 (2 levels x 2,074 betas: 43 vs 4 us) and faster only on narrow tables with
 many levels; both add in the same order, so the draws are bit-identical.
 
+A call allocates its output, one table per block of betas (built and
+exponentiated in place) and one set of slice buffers that every draw slice
+reuses.  Fresh table-sized temporaries per operation cost about 980 minor page
+faults per trial on the two-level q=64 workload; this layout takes none.
+
 An optional corruption wrapper mixes in a fixed alternative distribution with
 probability tv_budget, which bounds the total-variation distance from the
 exact oracle by tv_budget.
@@ -38,7 +43,7 @@ __all__ = ["Corruption", "SamplingOracle", "CORRUPTION_MODES"]
 
 CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
 
-# bound on the elements of each temporary block in SamplingOracle._draw
+# bound on the table entries of a block, and on the draws of a slice, in SamplingOracle._draw
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -97,15 +102,24 @@ class SamplingOracle:
         ``_CHUNK_ELEMENTS`` table entries whatever ``size`` is, so the level
         loop runs once per block; the draws go in slices of whole output rows,
         or of part of one row, under the same bound.
+
+        Besides the output, a call allocates one table per block, filled in
+        place, and one comparison and one index-count buffer that every slice
+        reuses; the energies go straight into the output rows, and only each
+        slice's uniforms are fresh.
         """
         energies = self.instance.energies
         log_counts = self.instance.log_counts[:, None]
         n = energies.size
         out = np.empty((betas.size, size))
         block = max(1, _CHUNK_ELEMENTS // n)  # betas per table; draws per slice if rows == 1
-        rows = max(1, block // max(1, size))  # betas per draw slice
+        rows = max(1, min(betas.size, block // max(1, size)))  # betas per draw slice
+        cols = min(block, size)  # draws per slice
+        below = np.empty((n - 1, rows, cols), dtype=bool)
+        count = np.empty((rows, cols), dtype=np.intp)
         for lo in range(0, betas.size, block):
-            cum = log_counts - np.multiply.outer(energies, betas[lo:lo + block])
+            cum = np.multiply.outer(energies, betas[lo:lo + block])
+            np.subtract(log_counts, cum, out=cum)
             cum -= cum.max(axis=0)
             np.exp(cum, out=cum)
             for j in range(1, n):
@@ -114,9 +128,13 @@ class SamplingOracle:
             for r in range(0, cum.shape[1], rows):
                 part = cum[:, r:r + rows]
                 for c in range(0, size, block):
-                    x = rng.random((part.shape[1], min(block, size - c))) * part[-1][:, None]
-                    idx = (part[:-1, :, None] <= x).sum(axis=0)
-                    dst[r:r + rows, c:c + block] = energies[idx]
+                    x = rng.random((part.shape[1], min(block, size - c)))
+                    x *= part[-1][:, None]
+                    p, w = x.shape
+                    hit = np.less_equal(part[:-1, :, None], x, out=below[:, :p, :w])
+                    idx = hit.sum(axis=0, out=count[:p, :w])
+                    # indices lie in [0, n); "clip" writes into dst unbuffered
+                    energies.take(idx, out=dst[r:r + p, c:c + w], mode="clip")
         return out
 
     # -- public sampling surface ------------------------------------------

@@ -13,6 +13,9 @@ of betas with one vectorized oracle draw and one uniform per entry.
 still inside the window.  Each run still consumes one oracle draw and one
 uniform per step, so call accounting is that of k runs made one after another;
 only the interleaving of draws across runs differs.
+
+``tpa_multi`` sorts the pool once, in place, so ``TpaOutput.points`` is
+ascending and ``thin_to_schedule`` thins it without a sorted copy of its own.
 """
 
 from __future__ import annotations
@@ -36,7 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TpaOutput:
-    """Pooled points of k independent runs, all inside [beta_min, beta_max]."""
+    """Pooled points of k independent runs, all inside [beta_min, beta_max].
+
+    ``points`` is ascending: ``tpa_multi`` sorts the pool in place.
+    """
 
     points: np.ndarray
     runs: int
@@ -62,20 +68,26 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
         if active.size:
             collected.append(active)
     points = np.concatenate(collected) if collected else np.empty(0)
+    points.sort()
     return TpaOutput(points=points, runs=k)
 
 
 def thin_to_schedule(
     points: np.ndarray, d: int, offset: int, beta_min: float, beta_max: float
 ) -> Schedule:
-    """Keep every d-th sorted point starting at 1-based index ``offset``.
+    """Keep every d-th point starting at 1-based index ``offset``.
 
+    ``points`` must be ascending, as ``tpa_multi`` returns them; points out
+    of order raise ``ValueError`` rather than thin to a wrong schedule.
     Kept points that tie (a TPA step below the float resolution of beta) are
     merged into one level; point sets without ties are thinned unchanged.
     """
     if not 1 <= offset <= d:
         raise ValueError("offset must lie in {1, ..., d}")
-    kept = np.unique(np.sort(points)[offset - 1 :: d])
+    points = np.asarray(points)
+    if np.any(points[1:] < points[:-1]):
+        raise ValueError("points must be in ascending order")
+    kept = np.unique(points[offset - 1 :: d])
     kept = kept[(kept > beta_min) & (kept < beta_max)]
     return Schedule(np.concatenate([[beta_min], kept, [beta_max]]))
 

@@ -189,6 +189,18 @@ class TestLowerbound:
         assert lines[0] == "suite lemma10 N=16 m=2: PASS"
         assert lines[1].startswith("  [PASS] N=16 m=2 log-ratio sandwich: observed 103.972")
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--q-bar", "500", "--n", "2"), "grid capacity exceeded: N=38 > m(n-1)=21; increase n"),
+        (("--n-factors", "1"), "n_factors must be at least 2 for a positive window"),
+    ], ids=["grid-capacity", "one-factor"])
+    def test_instance_it_cannot_build_exits_2_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["lowerbound", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbsratio lowerbound: error: {message}\n"
+
     def test_failing_inequality_exits_2(self, capsys):
         # two factors: sensitivity^2/curvature 1/18 stays below (N/4-1)^2 = 1/4
         code, out, _ = run_cli(capsys, "lowerbound", "--n-factors", "2", "--m-grid", "1")

@@ -5,12 +5,13 @@ suite stays deterministic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsratio.instance import CountInstance, singleton_instance
+from gibbsratio.instance import CountInstance, singleton_instance, two_level_instance
 from gibbsratio.models import GraphSpec, enumerate_ising
 from gibbsratio.oracle import _CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
 
@@ -141,6 +142,59 @@ class TestExactSampling:
             idx = np.searchsorted(cum, ref_rng.random() * cum[-1], side="right")
             ref[i] = inst.energies[min(idx, cum.size - 1)]
         np.testing.assert_array_equal(draws, ref)
+
+
+class TestKernelScratch:
+    @pytest.mark.parametrize("support,rows,size", [
+        (2, 2075, 60),  # a PPE call on the q=64 schedule
+        (2, 260, 924),  # a PPE call at q=8, eps=0.1
+        (23, 2806, None),  # a TPA wave (sample_at) on the 23-level Ising grid
+    ], ids=["q64-ppe", "q8-tight-ppe", "23-level-wave"])
+    def test_peak_above_the_output_stays_near_one_table(self, support, rows, size):
+        # one table of _CHUNK_ELEMENTS float64 entries plus the slice buffers;
+        # a second table-sized temporary would push the peak past 2x
+        if support == 2:
+            inst = two_level_instance(64.0)
+        else:
+            inst = CountInstance([(h, 0.1 * h * (7 - h % 5)) for h in range(support)], 0.0, 2.0)
+        oracle = SamplingOracle(inst)
+        betas = np.linspace(inst.beta_min, inst.beta_max, rows)
+        rng = np.random.default_rng(24)
+
+        def draw():
+            if size is None:
+                return oracle.sample_at(betas, rng)
+            return oracle.sample_many(betas, size, rng)
+
+        draw()
+        tracemalloc.start()
+        try:
+            out = draw()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.75 * _CHUNK_ELEMENTS * 8
+
+    @pytest.mark.parametrize("support", [1, 2, 23])
+    def test_empty_requests_draw_nothing(self, support):
+        inst = CountInstance([(h, 0.1 * h) for h in range(support)], 0.0, 2.0)
+        oracle = SamplingOracle(inst)
+        rng = np.random.default_rng(25)
+        assert oracle.sample_many(np.empty(0), 5, rng).shape == (0, 5)
+        assert oracle.sample_at(np.empty(0), rng).shape == (0,)
+        assert oracle.sample_many(np.zeros(3), 0, rng).shape == (3, 0)
+        assert oracle.sample_many(0.5, 0, rng).shape == (0,)
+        assert oracle.call_count == 0
+        assert rng.random() == np.random.default_rng(25).random()
+
+    def test_one_level_vector_calls(self):
+        oracle = SamplingOracle(singleton_instance(h=2.0))
+        rng = np.random.default_rng(26)
+        many = oracle.sample_many(np.linspace(0.0, 5.0, 4), 7, rng)
+        at = oracle.sample_at(np.linspace(0.0, 5.0, 9), rng)
+        assert many.shape == (4, 7) and (many == 2.0).all()
+        assert at.shape == (9,) and (at == 2.0).all()
+        assert oracle.call_count == 4 * 7 + 9
 
 
 class TestCallCounting:

@@ -120,6 +120,13 @@ class TestTpaMulti:
             assert out.runs == k
             assert unit_oracle.call_count - before == out.points.size + k
 
+    def test_pool_is_ascending(self, two_level_oracle):
+        # runs interleave across waves, so the concatenated pool is out of order
+        rng = np.random.default_rng(12)
+        for k in (1, 7, 200):
+            points = tpa_multi(two_level_oracle, k, rng).points
+            assert (np.diff(points) >= 0).all()
+
     @pytest.mark.statistical
     def test_pooled_count_mean(self, unit_oracle):
         rng = np.random.default_rng(11)
@@ -206,6 +213,10 @@ class TestScheduleGeneration:
             thin_to_schedule(points, d=3, offset=0, beta_min=0.0, beta_max=7.0)
         with pytest.raises(ValueError):
             thin_to_schedule(points, d=3, offset=4, beta_min=0.0, beta_max=7.0)
+
+    def test_points_out_of_order_raise(self):
+        with pytest.raises(ValueError, match="ascending"):
+            thin_to_schedule(np.array([2.5, 1.5, 0.5]), d=3, offset=1, beta_min=0.0, beta_max=3.0)
 
     @pytest.mark.statistical
     def test_expected_schedule_length(self):
