@@ -14,6 +14,13 @@ contribution of oversized intervals (an upper incomplete gamma term).  Two
 regimes are exposed: case "I" for instances whose energies stay in [1, n] and
 case "II" when a zero-energy level exists, which needs the lambda-corrected
 threshold.
+
+The trial path needs no scipy: ``paired_product`` averages with
+``instance.logsumexp``, which repeats ``scipy.special.logsumexp``'s arithmetic
+bit for bit without its fixed cost of about 0.1 ms per call.  scipy is
+imported only inside the functions that need it -- the incomplete-gamma tail
+behind ``tau_rho`` and the Brent refinement -- which the headline config never
+calls, so ``import gibbsratio`` does not pay for ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -23,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, xlogy
 
-from .instance import CountInstance, Schedule
+from .instance import CountInstance, Schedule, logsumexp
 from .oracle import SamplingOracle
 from .tpa import generate_schedule
 
@@ -77,10 +83,12 @@ def log_upper_incomplete_gamma(a: int, b: float | np.ndarray) -> float | np.ndar
     b = np.asarray(b, dtype=float)
     if not np.all((b >= 0) & np.isfinite(b)):
         raise ValueError("b must be finite and non-negative")
+    from scipy import special  # local, as in minimize_on_grid
+
     a = int(a)
     j = np.arange(a)
-    series = logsumexp(xlogy(j, b[..., None]) - gammaln(j + 1), axis=-1)
-    out = gammaln(a) - b + series
+    series = special.logsumexp(special.xlogy(j, b[..., None]) - special.gammaln(j + 1), axis=-1)
+    out = special.gammaln(a) - b + series
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,10 +119,12 @@ def minimize_on_grid(f, grid: np.ndarray, xatol: float) -> tuple[float, float]:
 
 
 def _tau_objective(taus, d: int, rho: float):
+    from scipy import special
+
     # vectorized over tau: one incomplete-gamma tail per grid point
     log_tail = (
         log_upper_incomplete_gamma(d + 2, taus * d)
-        - math.log1p(-rho) - math.log(d) - gammaln(d + 1)
+        - math.log1p(-rho) - math.log(d) - special.gammaln(d + 1)
     )
     return taus + np.exp(log_tail)
 

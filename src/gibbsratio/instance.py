@@ -6,6 +6,12 @@ stochastic pipeline (sampling oracles, schedule generation, the paired product
 estimator) is verified against the closed forms computed here, so all sums are
 performed in the log domain with max-shifted log-sum-exp: enumerated counts
 (2^|V| states) and product-form expansions overflow linear-domain doubles.
+
+``logsumexp`` is a numpy copy of ``scipy.special.logsumexp``'s arithmetic, so
+its results are bit-identical to scipy's.  scipy 1.17 spends 100-135 us per
+call on array-API dispatch whatever the size, against 15-30 us here for up to
+924 entries; a trial makes four such calls, and importing ``scipy.special``
+took about 350 of the 500 ms of ``import gibbsratio``.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "CountInstance",
     "Schedule",
     "PairedMoments",
+    "logsumexp",
     "log_partition",
     "log_ratio_true",
     "mean_energy",
@@ -208,6 +214,36 @@ class PairedMoments(NamedTuple):
     log_vrel: float
 
 
+def logsumexp(a):
+    """ln sum exp(a) over the last axis, bit for bit ``scipy.special.logsumexp(a, axis=-1)``.
+
+    As in scipy: with ``m`` entries tied at the row maximum, the sum ``s`` of
+    exp(a - max) runs over the other entries (the tied ones set to -inf) and
+    the result is log1p(s/m) + log(m) + max; where that is not finite (an
+    infinite or nan maximum) it is ln sum exp(a) taken directly.  The sum is
+    reduced along the last axis of an array laid out like ``a``, as scipy's
+    is: reducing another layout changes the order of additions.  An empty
+    reduction gives -inf; a 1-D ``a`` gives a numpy scalar.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.full(a.shape[:-1], -np.inf)[()]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = a.max(axis=-1, keepdims=True)
+        tied = a == top
+        m = tied.sum(axis=-1, keepdims=True, dtype=float)
+        rest = a.copy()
+        np.copyto(rest, -np.inf, where=tied)
+        np.subtract(rest, top, out=rest)
+        np.exp(rest, out=rest)
+        s = rest.sum(axis=-1, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return out[..., 0][()]
+
+
 def _logits(inst: CountInstance, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     return inst.log_counts - np.multiply.outer(beta, inst.energies)
@@ -219,7 +255,7 @@ def log_partition(inst: CountInstance, beta):
     Accepts a scalar or an array of beta values.
     """
     scalar = np.isscalar(beta) or np.ndim(beta) == 0
-    z = logsumexp(_logits(inst, beta), axis=-1)
+    z = logsumexp(_logits(inst, beta))
     return float(z) if scalar else z
 
 

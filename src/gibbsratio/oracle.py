@@ -106,7 +106,7 @@ class SamplingOracle:
         Besides the output, a call allocates one table per block, filled in
         place, and one comparison and one index-count buffer that every slice
         reuses; the energies go straight into the output rows, and only each
-        slice's uniforms are fresh.
+        slice's uniforms are fresh, released before the next slice draws.
         """
         energies = self.instance.energies
         log_counts = self.instance.log_counts[:, None]
@@ -135,6 +135,7 @@ class SamplingOracle:
                     idx = hit.sum(axis=0, out=count[:p, :w])
                     # indices lie in [0, n); "clip" writes into dst unbuffered
                     energies.take(idx, out=dst[r:r + p, c:c + w], mode="clip")
+                    del x  # else it lives on while rng.random allocates the next slice's
         return out
 
     # -- public sampling surface ------------------------------------------

@@ -1,6 +1,11 @@
 """Estimator parameter selection and paired product pipeline checks."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaincc, gammaln
 
+import gibbsratio
 from gibbsratio.instance import (
     CountInstance,
     Schedule,
@@ -128,6 +134,54 @@ class TestTauRho:
         rho = 75.0 / 76.0
         values = [tau_rho(d, rho).value for d in (1, 4, 16, 64)]
         assert values == sorted(values, reverse=True)
+
+
+HEADLINE_PATH_SCRIPT = """
+import json, sys
+import numpy as np
+import gibbsratio
+from gibbsratio import cli
+from gibbsratio.estimator import build_config, detect_case, estimate, tau_rho
+from gibbsratio.harness import TAU_TABLE, ExperimentConfig, run_trials
+from gibbsratio.instance import schedule_delta
+from gibbsratio.models import GraphSpec, enumerate_ising
+
+edges = [(v, v + step) for v in range(16) for step, inside in ((1, v % 4 < 3), (4, v < 12)) if inside]
+inst = enumerate_ising(GraphSpec(16, tuple(edges)))
+res = estimate(inst, build_config(0.5, inst.n, detect_case(inst)), np.random.default_rng(3))
+delta, _ = schedule_delta(inst, res.schedule)
+batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
+code = cli.main(["trials", "--trials", "2", "--out", sys.argv[1]])
+headline = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+tau = tau_rho(64, 75.0 / 76.0)
+print(json.dumps({
+    "finite": bool(np.isfinite([res.q_hat, delta]).all()) and len(batch.records) == 2,
+    "cli_exit": code,
+    "headline_scipy": headline,
+    "tau": [tau.value, tau.argmin_tau],
+    "table": TAU_TABLE[64],
+    "after_tau": "scipy.special" in sys.modules,
+}))
+"""
+
+
+def test_headline_path_never_loads_scipy(tmp_path):
+    # a fresh interpreter: scipy.special costs about 350 ms to import, so only
+    # the non-headline knobs (tau_rho and what calls it) may load it
+    src = str(Path(gibbsratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", HEADLINE_PATH_SCRIPT, str(tmp_path / "records.ndjson")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["finite"] and got["cli_exit"] == 0
+    assert (tmp_path / "records.ndjson").read_text().count("\n") == 2
+    assert got["headline_scipy"] == []
+    bound, arg = got["table"]
+    assert bound - 5e-3 <= got["tau"][0] <= bound + 1e-3
+    assert got["tau"][1] == pytest.approx(arg, abs=0.01)
+    assert got["after_tau"]
 
 
 class TestMinM:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from gibbsratio.instance import (
     load_instance,
     log_partition,
     log_ratio_true,
+    logsumexp,
     mean_energy,
     paired_moments,
     save_instance,
@@ -109,6 +111,63 @@ class TestLogPartition:
         vec = log_partition(four_cycle, betas)
         scal = [log_partition(four_cycle, b) for b in betas]
         np.testing.assert_allclose(vec, scal, rtol=0, atol=1e-15)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert [float(x).hex() for x in got.flat] == [float(x).hex() for x in want.flat]
+
+
+class TestLogSumExp:
+    """The numpy log-sum-exp repeats scipy's arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("log10_spread", [-3, -1, 0, 1, 3])
+    def test_random_arrays_match_scipy(self, log10_spread):
+        rng = np.random.default_rng(40 + log10_spread)
+        for size in (1, 2, 7, 8, 9, 60, 129, 924):
+            a = rng.normal(scale=10.0 ** log10_spread, size=size)
+            assert_same_bits(logsumexp(a), scipy.special.logsumexp(a))
+        for shape in ((1, 1), (3, 2), (91, 2), (17, 23), (5, 64), (2, 300)):
+            a = rng.normal(scale=10.0 ** log10_spread, size=shape)
+            assert_same_bits(logsumexp(a), scipy.special.logsumexp(a, axis=-1))
+
+    def test_ties_at_the_maximum(self):
+        rng = np.random.default_rng(41)
+        a = np.round(rng.normal(scale=2.0, size=(40, 9)))
+        a[:, :3] = 5.0
+        a[7] = 2.5
+        for arr in (a, a[0], a[7], np.full(12, -3.25)):
+            assert_same_bits(logsumexp(arr), scipy.special.logsumexp(arr, axis=-1))
+
+    @pytest.mark.parametrize("a", [
+        [4.5],
+        [],
+        [1.0, np.inf, 2.0],
+        [-np.inf, -np.inf, -np.inf],
+        [1.0, np.nan, 2.0],
+        [-np.inf, 3.0],
+        [np.inf, np.inf],
+        [np.inf, -np.inf],
+        [1e308, 1e308],
+    ], ids=["single", "empty", "plus-inf", "all-minus-inf", "nan",
+            "one-minus-inf", "two-plus-inf", "both-infs", "overflow"])
+    def test_edge_cases_match_scipy(self, a):
+        a = np.array(a)
+        assert_same_bits(logsumexp(a), scipy.special.logsumexp(a))
+
+    def test_edge_rows_and_empty_reductions_in_2d(self):
+        a = np.array([[1.0, np.inf], [-np.inf, -np.inf], [np.nan, 0.0], [3.0, 3.0], [0.5, -1.0]])
+        assert_same_bits(logsumexp(a), scipy.special.logsumexp(a, axis=-1))
+        for shape in ((3, 0), (0, 4), (0,)):
+            empty = np.empty(shape)
+            assert_same_bits(logsumexp(empty), scipy.special.logsumexp(empty, axis=-1))
+
+    def test_log_partition_matches_scipy_on_a_grid(self, four_cycle):
+        betas = np.linspace(-2.0, 4.0, 33)
+        logits = four_cycle.log_counts - np.multiply.outer(betas, four_cycle.energies)
+        assert_same_bits(log_partition(four_cycle, betas), scipy.special.logsumexp(logits, axis=-1))
 
 
 class TestLogRatio:

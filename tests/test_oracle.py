@@ -175,6 +175,22 @@ class TestKernelScratch:
             tracemalloc.stop()
         assert peak - out.nbytes <= 1.75 * _CHUNK_ELEMENTS * 8
 
+    @pytest.mark.parametrize("rows,size", [(2075, 60), (260, 924)], ids=["q64-ppe", "q8-tight-ppe"])
+    def test_multi_slice_calls_hold_one_slice_of_uniforms(self, rows, size):
+        # a slice's uniforms are released before the next slice's are drawn;
+        # holding them on puts two slice-sized arrays at the peak (about 1.6 tables)
+        oracle = SamplingOracle(two_level_instance(64.0))
+        betas = np.linspace(oracle.instance.beta_min, oracle.instance.beta_max, rows)
+        rng = np.random.default_rng(24)
+        oracle.sample_many(betas, size, rng)
+        tracemalloc.start()
+        try:
+            out = oracle.sample_many(betas, size, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1.4 * _CHUNK_ELEMENTS * 8
+
     @pytest.mark.parametrize("support", [1, 2, 23])
     def test_empty_requests_draw_nothing(self, support):
         inst = CountInstance([(h, 0.1 * h) for h in range(support)], 0.0, 2.0)
