@@ -64,7 +64,7 @@ HEADLINE_RATE = 3.6
 
 def epsilon_tilde(epsilon: float) -> float:
     """Per-side relative tolerance 1 - (1+eps)^(-1/2); about eps/2 when small."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return 1.0 - (1.0 + epsilon) ** -0.5
 
@@ -201,7 +201,7 @@ class EstimatorConfig:
     lam: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0.0 < self.gamma < 0.25:
             raise ValueError("gamma must lie in (0, 0.25)")
@@ -235,6 +235,10 @@ class EstimatorConfig:
         """|q_hat - q| within this margin counts as a success: ln(1 + eps)."""
         return math.log1p(self.epsilon)
 
+    def exact_calls(self, tpa_points: int, schedule_len: int) -> int:
+        """Oracle calls of one trial: TPA's points + k, then (ell + 1) r for the PPE."""
+        return (tpa_points + self.k) + (schedule_len + 1) * self.r
+
 
 def default_r(epsilon: float) -> int:
     return math.ceil(2.0 / epsilon_tilde(epsilon) ** 2)
@@ -258,12 +262,14 @@ def build_config(
     and 3.6 (9 + ln n) in case II; otherwise it is the minimal admissible rate
     ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
     run so degenerate fixtures with n = 1 stay runnable; the effective rate
-    m = k/d never drops below the target.
+    m = k/d never drops below the target.  A given m must be positive and finite.
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
     if case not in ("I", "II"):
         raise ValueError(f"unknown case {case!r}")
+    if m is not None and not 0 < m < math.inf:
+        raise ValueError("m must be positive and finite")
     d = DEFAULT_D if d is None else int(d)
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     r = default_r(epsilon) if r is None else int(r)

@@ -1,4 +1,8 @@
-"""Seeded trial batches, summaries, and the pinned statistical suites.
+"""Seeded trial batches, summaries, the paper's claims as checks, and the suites.
+
+Each claim is one function that returns its checks, with its sample size and
+tolerance fixed inside; the suites run them on pinned streams, the tests on
+their own seeds.
 
 Reproducibility contract: trial i runs on a generator seeded with
 SeedSequence(entropy=master_seed, spawn_key=(i,)), so records are identical
@@ -24,6 +28,7 @@ from .estimator import (
     estimate,
     median_boost,
     predicted_calls,
+    tau_rho,
 )
 from .instance import (
     CountInstance,
@@ -56,6 +61,11 @@ __all__ = [
     "build_model_instance",
     "run_trials",
     "run_suite",
+    "tau_checks",
+    "pooled_count_checks",
+    "step_survival_checks",
+    "reference_process_checks",
+    "call_accounting_checks",
     "verify_lemma10",
     "wilson_interval",
     "write_records",
@@ -302,7 +312,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# -- statistical / structural suites ---------------------------------------
+# -- paper claims and the suites built from them ---------------------------
 
 
 @dataclass(frozen=True)
@@ -314,6 +324,10 @@ class SuiteCheck:
     passed: bool
 
 
+def _check(name, observed, expected, tolerance, passed) -> SuiteCheck:
+    return SuiteCheck(name, float(observed), float(expected), tolerance, bool(passed))
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -322,11 +336,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(check.passed for check in self.checks)
-
-    def add(self, name, observed, expected, tolerance, passed) -> None:
-        self.checks.append(
-            SuiteCheck(name, float(observed), float(expected), tolerance, bool(passed))
-        )
 
     def lines(self) -> list[str]:
         rows = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
@@ -339,144 +348,149 @@ class SuiteReport:
         return rows
 
 
-def _suite_tau_table() -> SuiteReport:
-    from .estimator import tau_rho
-
-    report = SuiteReport("tau_table")
-    rho = 75.0 / 76.0
-    for d, (bound, argmin) in TAU_TABLE.items():
-        res = tau_rho(d, rho)
-        report.add(
-            f"tau_rho({d})",
-            res.value,
-            bound,
-            "within [-5e-3, +1e-3]",
+def tau_checks(d: int) -> list[SuiteCheck]:
+    """``tau_rho(d, 75/76)`` and its argmin against the ``TAU_TABLE`` row for d."""
+    bound, argmin = TAU_TABLE[d]
+    res = tau_rho(d, 75.0 / 76.0)
+    return [
+        _check(
+            f"tau_rho({d})", res.value, bound, "within [-5e-3, +1e-3]",
             bound - 5e-3 <= res.value <= bound + 1e-3,
-        )
-        report.add(
-            f"argmin tau({d})",
-            res.argmin_tau,
-            argmin,
-            "within 0.01",
+        ),
+        _check(
+            f"argmin tau({d})", res.argmin_tau, argmin, "within 0.01",
             abs(res.argmin_tau - argmin) <= 0.01,
-        )
-    return report
+        ),
+    ]
 
 
-def _suite_distribution(seed: int = 2024) -> SuiteReport:
-    from scipy import stats
+def pooled_count_checks(rng) -> list[SuiteCheck]:
+    """TPA's pooled count law: 10 runs over a window of width 5 count Poisson(50).
 
-    report = SuiteReport("distribution")
-
-    # pooled run-count law on a window of width 5: counts are Poisson(k q)
+    2,000 pools; the mean within 3 standard errors, variance/mean in [0.9, 1.1].
+    """
     oracle = SamplingOracle(singleton_instance(beta_max=5.0))
-    rng = trial_rng(seed, 0)
     counts = np.array([tpa_multi(oracle, 10, rng).points.size for _ in range(2000)])
-    se = math.sqrt(50.0 / 2000)
-    report.add(
-        "pooled count mean (k=10, q=5)",
-        counts.mean(),
-        50.0,
-        "within 3 standard errors",
-        abs(counts.mean() - 50.0) <= 3 * se,
-    )
-    ratio = counts.var(ddof=1) / counts.mean()
-    report.add("count variance/mean", ratio, 1.0, "within [0.9, 1.1]", 0.9 <= ratio <= 1.1)
+    mean = counts.mean()
+    ratio = counts.var(ddof=1) / mean
+    return [
+        _check(
+            "pooled count mean (k=10, q=5)", mean, 50.0, "within 3 standard errors",
+            abs(mean - 50.0) <= 3 * math.sqrt(50.0 / 2000),
+        ),
+        _check("count variance/mean", ratio, 1.0, "within [0.9, 1.1]", 0.9 <= ratio <= 1.1),
+    ]
 
-    # step survival law on the symmetric two-level instance
+
+def step_survival_checks(rng) -> list[SuiteCheck]:
+    """TPA's step survival identity P(step from 0 >= alpha) = Z(alpha)/Z(0).
+
+    100,000 steps on the symmetric two-level instance over [0, ln 3]; each of
+    five alphas within 4 standard errors.
+    """
     inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-    step_oracle = SamplingOracle(inst)
-    rng = trial_rng(seed, 1)
-    draws = tpa_step(step_oracle, np.zeros(100_000), rng)
+    steps = tpa_step(SamplingOracle(inst), np.zeros(100_000), rng)
+    checks = []
     for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
         target = math.exp(log_partition(inst, alpha) - log_partition(inst, 0.0))
-        emp = float((draws >= alpha).mean())
-        tol = 4 * math.sqrt(target * (1 - target) / draws.size)
-        report.add(
-            f"step survival at alpha={alpha:.4g}",
-            emp,
-            target,
-            "within 4 standard errors",
+        emp = float((steps >= alpha).mean())
+        tol = 4 * math.sqrt(target * (1 - target) / steps.size)
+        checks.append(_check(
+            f"step survival at alpha={alpha:.4g}", emp, target, "within 4 standard errors",
             abs(emp - target) <= tol,
-        )
+        ))
+    return checks
 
-    # log-partition images of pooled runs against the reference point process
+
+def reference_process_checks(rng, k: int, pools: int) -> list[SuiteCheck]:
+    """Log-partition images of ``pools`` TPA(k) pools against the reference process.
+
+    On the two-level q=4 instance z(beta_min) - z(point) is a rate-k Poisson
+    process on [0, q] (k = 1 checks a single run); the two-sample KS p-value
+    against ``ppp_reference`` must stay above 1e-3.
+    """
+    from scipy import stats  # local, as in minimize_on_grid
+
     inst = two_level_instance(4.0)
-    ks_oracle = SamplingOracle(inst)
-    rng = trial_rng(seed, 2)
+    oracle = SamplingOracle(inst)
     z0 = log_partition(inst, inst.beta_min)
     q = log_ratio_true(inst)
     mapped = np.concatenate(
-        [z0 - log_partition(inst, tpa_multi(ks_oracle, 25, rng).points) for _ in range(60)]
+        [z0 - log_partition(inst, tpa_multi(oracle, k, rng).points) for _ in range(pools)]
     )
-    reference = np.concatenate([ppp_reference(q, 25, rng) for _ in range(60)])
+    reference = np.concatenate([ppp_reference(q, k, rng) for _ in range(pools)])
     _, p_value = stats.ks_2samp(mapped, reference)
-    report.add(
-        "KS p-value: mapped points vs reference process",
-        p_value,
-        1e-3,
-        "p above significance 1e-3",
-        p_value > 1e-3,
-    )
-    return report
+    return [_check(
+        "KS p-value: mapped points vs reference process", p_value, 1e-3,
+        "p above significance 1e-3", p_value > 1e-3,
+    )]
 
 
-def _suite_accounting(seed: int = 77) -> SuiteReport:
-    report = SuiteReport("accounting")
-    cfg = ExperimentConfig(
-        model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0,
-        trials=50, master_seed=seed,
-    )
-    batch = run_trials(cfg)
-    k, r = batch.estimator_config.k, batch.estimator_config.r
+def call_accounting_checks(batch: TrialBatch) -> list[SuiteCheck]:
+    """Exact accounting: every trial's calls equal ``EstimatorConfig.exact_calls``."""
+    est = batch.estimator_config
     exact = all(
-        rec.oracle_calls == (rec.tpa_points + k) + (rec.schedule_len + 1) * r
+        rec.oracle_calls == est.exact_calls(rec.tpa_points, rec.schedule_len)
         for rec in batch.records
     )
-    report.add(
-        "structural identity calls == (points + k) + (ell+1) r",
-        float(exact),
-        1.0,
-        "exact on every trial",
-        exact,
-    )
-    observed = batch.summary["oracle_calls_mean"]
-    predicted = batch.summary["predicted_calls"]
-    report.add(
-        "mean calls vs prediction",
-        observed,
-        predicted,
-        "within 10% (50 trials)",
-        abs(observed - predicted) <= 0.10 * predicted,
-    )
-    replay = run_trials(cfg)
-    identical = all(
-        a.to_dict() == b.to_dict() for a, b in zip(batch.records, replay.records)
-    )
-    report.add("replay determinism", float(identical), 1.0, "byte-identical records", identical)
-    return report
+    return [_check(
+        "structural identity calls == (points + k) + (ell+1) r", exact, 1.0,
+        "exact on every trial", exact,
+    )]
 
 
 def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
     """Check the four strict inequalities of the geometric lower-bound family."""
     n, m = lb.n_factors, lb.m_grid
     label = f"N={n} m={m}"
-    report = SuiteReport(f"lemma10 {label}")
     q_true = log_ratio_true(lb.expanded)
     mid = (m + n / 2.0) * (n - 1) * math.log(2.0)
     q_lower, q_upper = mid - n * math.log(2.0), mid + 2.0
-    sandwich = f"inside ({q_lower:.4f}, {q_upper:.4f})"
-    report.add(f"{label} log-ratio sandwich", q_true, q_lower, sandwich, q_lower < q_true < q_upper)
     rho, rho_floor = sensitivity(lb), (n / 2.0 - 2.0) / m
-    report.add(f"{label} sensitivity floor", rho, rho_floor, "strictly above", rho > rho_floor)
     kappa, kappa_cap = curvature_sup(lb).kappa_ell_bound, 4.0 / m ** 2
-    report.add(f"{label} curvature cap", kappa, kappa_cap, "strictly below", kappa < kappa_cap)
     ratio, ratio_floor = rho ** 2 / kappa, (n / 4.0 - 1.0) ** 2
-    report.add(
-        f"{label} sensitivity^2/curvature floor", ratio, ratio_floor, "strictly above",
-        ratio > ratio_floor,
+    return SuiteReport(f"lemma10 {label}", [
+        _check(
+            f"{label} log-ratio sandwich", q_true, q_lower,
+            f"inside ({q_lower:.4f}, {q_upper:.4f})", q_lower < q_true < q_upper,
+        ),
+        _check(f"{label} sensitivity floor", rho, rho_floor, "strictly above", rho > rho_floor),
+        _check(f"{label} curvature cap", kappa, kappa_cap, "strictly below", kappa < kappa_cap),
+        _check(
+            f"{label} sensitivity^2/curvature floor", ratio, ratio_floor, "strictly above",
+            ratio > ratio_floor,
+        ),
+    ])
+
+
+def _suite_tau_table() -> SuiteReport:
+    return SuiteReport("tau_table", [check for d in TAU_TABLE for check in tau_checks(d)])
+
+
+def _suite_distribution() -> SuiteReport:
+    return SuiteReport(
+        "distribution",
+        pooled_count_checks(trial_rng(2024, 0))
+        + step_survival_checks(trial_rng(2024, 1))
+        + reference_process_checks(trial_rng(2024, 2), k=25, pools=60),
     )
-    return report
+
+
+def _suite_accounting() -> SuiteReport:
+    cfg = ExperimentConfig(
+        model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0,
+        trials=50, master_seed=77,
+    )
+    batch, replay = run_trials(cfg), run_trials(cfg)
+    observed, predicted = batch.summary["oracle_calls_mean"], batch.summary["predicted_calls"]
+    identical = all(a.to_dict() == b.to_dict() for a, b in zip(batch.records, replay.records))
+    return SuiteReport("accounting", call_accounting_checks(batch) + [
+        _check(
+            "mean calls vs prediction", observed, predicted, "within 10% (50 trials)",
+            abs(observed - predicted) <= 0.10 * predicted,
+        ),
+        _check("replay determinism", identical, 1.0, "byte-identical records", identical),
+    ])
 
 
 def _suite_lemma10() -> SuiteReport:

@@ -337,7 +337,7 @@ def two_level_instance(target_q: float, log_count_high: float | None = None) -> 
     beta_max solves z(0) - z(beta_max) == target_q in closed form: with
     z(beta) = ln(1 + e^(lc - beta)), beta_max = lc - ln(expm1(z(0) - target_q)).
     """
-    if target_q <= 0:
+    if not target_q > 0:
         raise ValueError("target_q must be positive")
     lc = float(log_count_high) if log_count_high is not None else target_q + 1.0
     z0 = np.logaddexp(0.0, lc)

@@ -86,11 +86,8 @@ class SamplingOracle:
 
     @property
     def call_count(self) -> int:
-        """Number of draws served since construction or the last reset."""
+        """Number of draws served since construction."""
         return self._calls
-
-    def reset_count(self) -> None:
-        self._calls = 0
 
     # -- exact draws ------------------------------------------------------
 

@@ -45,7 +45,6 @@ class TpaOutput:
     """
 
     points: np.ndarray
-    runs: int
 
 
 def tpa_step(oracle: SamplingOracle, betas: np.ndarray, rng) -> np.ndarray:
@@ -69,7 +68,7 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
             collected.append(active)
     points = np.concatenate(collected) if collected else np.empty(0)
     points.sort()
-    return TpaOutput(points=points, runs=k)
+    return TpaOutput(points=points)
 
 
 def thin_to_schedule(

