@@ -3,7 +3,8 @@
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
 print one check report and exit 0 on pass and 2 on failure; a rejected run
-setting or a model too large to enumerate is a one-line usage error (exit 2).
+setting or estimator knob, or a model too large to enumerate, is a one-line
+usage error (exit 2), raised before the first trial.
 """
 
 from __future__ import annotations
@@ -101,6 +102,19 @@ def _experiment_config(args) -> ExperimentConfig:
         _usage_error(args, exc)
 
 
+def _resolve(args, cfg: ExperimentConfig):
+    """The run's instance and estimator config, before any trial.
+
+    An estimator knob that ``build_config`` rejects is a usage error (exit 2);
+    errors in building the model are not caught here.
+    """
+    inst = build_model_instance(cfg)
+    try:
+        return inst, resolve_estimator_config(cfg, inst)
+    except ValueError as exc:
+        _usage_error(args, exc)
+
+
 def _usage_error(args, exc: Exception) -> NoReturn:
     print(f"gibbsratio {args.command}: error: {exc}", file=sys.stderr)
     raise SystemExit(2) from None
@@ -115,7 +129,8 @@ def _open_out(args):
 def _cmd_trials(args) -> int:
     cfg = _experiment_config(args)
     started = time.perf_counter()
-    batch = run_trials(cfg)
+    inst, _ = _resolve(args, cfg)
+    batch = run_trials(cfg, inst)
     elapsed = time.perf_counter() - started
     stream, owned = _open_out(args)
     try:
@@ -130,8 +145,7 @@ def _cmd_trials(args) -> int:
 
 def _cmd_schedule(args) -> int:
     cfg = _experiment_config(args)
-    inst = build_model_instance(cfg)
-    est_cfg = resolve_estimator_config(cfg, inst)
+    inst, est_cfg = _resolve(args, cfg)
     rng = trial_rng(cfg.master_seed, 0)
     oracle = SamplingOracle(inst, Corruption(cfg.tv_budget, cfg.corruption_mode))
     sched, _ = generate_schedule(oracle, est_cfg.k, est_cfg.d, rng)

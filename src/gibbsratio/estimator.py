@@ -64,8 +64,8 @@ HEADLINE_RATE = 3.6
 
 def epsilon_tilde(epsilon: float) -> float:
     """Per-side relative tolerance 1 - (1+eps)^(-1/2); about eps/2 when small."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     return 1.0 - (1.0 + epsilon) ** -0.5
 
 
@@ -201,8 +201,8 @@ class EstimatorConfig:
     lam: float | None = None
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.gamma < 0.25:
             raise ValueError("gamma must lie in (0, 0.25)")
         if self.d < 1 or self.k < 1 or self.r < 1:

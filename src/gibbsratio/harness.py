@@ -126,6 +126,8 @@ class ExperimentConfig:
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
         if self.boost_t is not None and (self.boost_t < 1 or self.boost_t % 2 == 0):
             raise ValueError("boost_t must be a positive odd integer")
+        if not self.target_q > 0:
+            raise ValueError("target_q must be positive")
 
 
 @dataclass(slots=True)
@@ -237,9 +239,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_trials(cfg: ExperimentConfig) -> TrialBatch:
-    """Run the batch and aggregate; records are ordered by trial index."""
-    inst = build_model_instance(cfg)
+def run_trials(cfg: ExperimentConfig, inst: CountInstance | None = None) -> TrialBatch:
+    """Run the batch and aggregate; records are ordered by trial index.
+
+    ``inst`` is ``build_model_instance(cfg)`` when a caller has built it already.
+    """
+    if inst is None:
+        inst = build_model_instance(cfg)
     est_cfg = resolve_estimator_config(cfg, inst)
     q_true = log_ratio_true(inst)
     payloads = [(inst, est_cfg, cfg, index, q_true) for index in range(cfg.trials)]

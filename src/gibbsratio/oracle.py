@@ -12,15 +12,26 @@ The tables are energy-major, one row per level and one column per beta, so
 the max shift, the running sum and the index count are whole-row elementwise
 operations across the betas.  Reducing a beta-major table along its short
 last axis runs one numpy inner loop per beta: about 120 ns per two-level
-``sample_at`` draw against about 31 ns.  The running sum is a loop over
-levels, not ``np.cumsum``, which is slower at hundreds of betas or more
-(2 levels x 2,074 betas: 43 vs 4 us) and faster only on narrow tables with
-many levels; both add in the same order, so the draws are bit-identical.
+``sample_at`` draw against about 31 ns.
 
-A call allocates its output, one table per block of betas (built and
-exponentiated in place) and one set of slice buffers that every draw slice
-reuses.  Fresh table-sized temporaries per operation cost about 980 minor page
-faults per trial on the two-level q=64 workload; this layout takes none.
+The running sum is picked by the table's width.  One in-place add per level
+costs about 0.5 us a row at any width; ``np.cumsum`` down the rows costs
+about 3 us plus 4.5 ns an entry.  So ``np.cumsum`` takes a table only when
+width x (levels + 4) < 110 x (levels - 6): never at 6 levels or fewer, and
+never above 110 betas.  At 23 levels the row adds took 12-13 us, and
+``np.cumsum`` 3.4, 7.7 and 25.6 us at 2, 50 and 200 betas (timeit, min of
+repeats, 2-vCPU Xeon VM).  Both add in the same order, so the sums are
+bit-identical.  The index count adds the comparisons up in the narrowest
+unsigned type that holds levels - 1: uint8 up to 256 levels, uint16 up to
+65,536, intp above.  On a 22 x 2,806 comparison that took 6 us, against 54 us
+for a bool-to-intp sum.
+
+A call allocates its output and one table per block of betas, built and
+exponentiated in place.  A call of several draw slices also allocates one set
+of slice buffers that every slice reuses; a call of one table and one slice,
+as every TPA wave of the benchmark workloads is, allocates no more.  Fresh
+table-sized temporaries per operation cost about 980 minor page faults per
+trial on the two-level q=64 workload; this layout takes none.
 
 An optional corruption wrapper mixes in a fixed alternative distribution with
 probability tv_budget, which bounds the total-variation distance from the
@@ -45,6 +56,11 @@ CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
 
 # bound on the table entries of a block, and on the draws of a slice, in SamplingOracle._draw
 _CHUNK_ELEMENTS = 1 << 16
+
+
+def _count_dtype(levels: int):
+    """The narrowest unsigned type that holds an index, at most levels - 1."""
+    return np.uint8 if levels <= 1 << 8 else np.uint16 if levels <= 1 << 16 else np.intp
 
 
 @dataclass(frozen=True)
@@ -94,46 +110,61 @@ class SamplingOracle:
     def _draw(self, betas: np.ndarray, size: int, rng) -> np.ndarray:
         """``size`` exact draws per entry of the 1-D ``betas``, shape (len, size).
 
-        ``cum`` has shape (levels, betas in the block); row j sums the
-        max-shifted weights of levels 0..j.  A block holds about
-        ``_CHUNK_ELEMENTS`` table entries whatever ``size`` is, so the level
-        loop runs once per block; the draws go in slices of whole output rows,
-        or of part of one row, under the same bound.
-
-        Besides the output, a call allocates one table per block, filled in
-        place, and one comparison and one index-count buffer that every slice
-        reuses; the energies go straight into the output rows, and only each
-        slice's uniforms are fresh, released before the next slice draws.
+        A block of about ``_CHUNK_ELEMENTS`` table entries, whatever ``size``
+        is, gets one table; the draws go in slices of whole output rows, or of
+        part of one row, under the same bound.  A call whose draws times
+        levels fit the bound is one table and one slice, drawn straight into
+        its output.  Several slices share one comparison and one index-count
+        buffer; only each slice's uniforms are fresh.
         """
-        energies = self.instance.energies
-        log_counts = self.instance.log_counts[:, None]
-        n = energies.size
+        n = self.instance.energies.size
         out = np.empty((betas.size, size))
         block = max(1, _CHUNK_ELEMENTS // n)  # betas per table; draws per slice if rows == 1
+        if betas.size * max(1, size) <= block:  # one table, one slice
+            self._invert(self._table(betas), rng, out)
+            return out
         rows = max(1, min(betas.size, block // max(1, size)))  # betas per draw slice
         cols = min(block, size)  # draws per slice
         below = np.empty((n - 1, rows, cols), dtype=bool)
-        count = np.empty((rows, cols), dtype=np.intp)
+        count = np.empty((rows, cols), dtype=_count_dtype(n))
         for lo in range(0, betas.size, block):
-            cum = np.multiply.outer(energies, betas[lo:lo + block])
-            np.subtract(log_counts, cum, out=cum)
-            cum -= cum.max(axis=0)
-            np.exp(cum, out=cum)
-            for j in range(1, n):
-                cum[j] += cum[j - 1]
+            cum = self._table(betas[lo:lo + block])
             dst = out[lo:lo + block]
             for r in range(0, cum.shape[1], rows):
                 part = cum[:, r:r + rows]
+                p = part.shape[1]
                 for c in range(0, size, block):
-                    x = rng.random((part.shape[1], min(block, size - c)))
-                    x *= part[-1][:, None]
-                    p, w = x.shape
-                    hit = np.less_equal(part[:-1, :, None], x, out=below[:, :p, :w])
-                    idx = hit.sum(axis=0, out=count[:p, :w])
-                    # indices lie in [0, n); "clip" writes into dst unbuffered
-                    energies.take(idx, out=dst[r:r + p, c:c + w], mode="clip")
-                    del x  # else it lives on while rng.random allocates the next slice's
+                    w = min(block, size - c)
+                    self._invert(part, rng, dst[r:r + p, c:c + w], below[:, :p, :w], count[:p, :w])
         return out
+
+    def _table(self, betas: np.ndarray) -> np.ndarray:
+        """Cumulative max-shifted weights, shape (levels, betas): row j sums levels 0..j."""
+        cum = np.multiply.outer(self.instance.energies, betas)
+        np.subtract(self.instance.log_counts[:, None], cum, out=cum)
+        cum -= cum.max(axis=0)
+        np.exp(cum, out=cum)
+        n, width = cum.shape
+        if width * (n + 4) < 110 * (n - 6):  # narrow: see the module docstring
+            np.cumsum(cum, axis=0, out=cum)
+        else:
+            levels = iter(cum)
+            below = next(levels)
+            for row in levels:
+                row += below
+                below = row
+        return cum
+
+    def _invert(self, cum, rng, dst, below=None, count=None) -> None:
+        """Inverse-CDF draws into ``dst`` (betas, draws) from the table ``cum``;
+        ``below`` and ``count`` are the comparison and index buffers, or None."""
+        x = rng.random(dst.shape)
+        x *= cum[-1][:, None]
+        hit = np.less_equal(cum[:-1, :, None], x, out=below)
+        del x  # else it lives on while take converts idx to intp
+        idx = np.add.reduce(hit.view(np.uint8), axis=0, dtype=_count_dtype(cum.shape[0]), out=count)
+        # indices lie in [0, n); "clip" writes into dst unbuffered
+        self.instance.energies.take(idx, out=dst, mode="clip")
 
     # -- public sampling surface ------------------------------------------
 
@@ -155,7 +186,7 @@ class SamplingOracle:
         if self.corruption is None:
             return h
         mask = rng.random(h.shape) < self.corruption.tv_budget
-        hit = int(mask.sum())
+        hit = np.count_nonzero(mask)
         if hit:
             energies = self.instance.energies
             if self.corruption.mode == "uniform":

@@ -51,7 +51,11 @@ def tpa_step(oracle: SamplingOracle, betas: np.ndarray, rng) -> np.ndarray:
     """Advance every entry of the 1-D ``betas`` by one step; +inf where h = 0."""
     h = oracle.sample_at(betas, rng)
     u = 1.0 - rng.random(betas.size)  # uniform on (0, 1]; never feeds log a zero
-    return betas + np.divide(-np.log(u), h, out=np.full(betas.size, np.inf), where=h > 0)
+    step = np.log(u, out=u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step /= h  # -inf where h = 0, nan where also u = 1
+    np.fmax(step, -np.inf, out=step)  # the nan becomes -inf too
+    return np.subtract(betas, step, out=step)
 
 
 def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:

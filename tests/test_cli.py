@@ -151,13 +151,25 @@ class TestUsageErrors:
         ("--m", "0", "m must be positive and finite"),
         ("--m", "nan", "m must be positive and finite"),
         ("--m", "inf", "m must be positive and finite"),
-        ("--eps", "nan", "epsilon must be positive"),
+        ("--eps", "nan", "epsilon must be positive and finite"),
+        ("--eps", "inf", "epsilon must be positive and finite"),
         ("--q", "nan", "target_q must be positive"),
-    ], ids=["m=-1", "m=0", "m=nan", "m=inf", "eps=nan", "q=nan"])
+    ], ids=["m=-1", "m=0", "m=nan", "m=inf", "eps=nan", "eps=inf", "q=nan"])
     def test_knob_out_of_range_stops_before_any_trial(self, capsys, flag, value, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(SystemExit) as exc:
             main(["trials", "--trials", "1", flag, value])
-        assert capsys.readouterr().out == ""
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbsratio trials: error: {message}\n"
+
+    def test_schedule_knob_out_of_range_exits_2_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "--m", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gibbsratio schedule: error: m must be positive and finite\n"
 
 
 class TestSchedule:

@@ -55,6 +55,11 @@ class TestEpsilonTilde:
         with pytest.raises(ValueError):
             epsilon_tilde(0.0)
 
+    def test_rejects_non_finite(self):
+        for eps in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                epsilon_tilde(eps)
+
     @given(eps=st.floats(1e-6, 100.0))
     def test_range(self, eps):
         assert 0.0 < epsilon_tilde(eps) < 1.0
@@ -253,6 +258,13 @@ class TestConfig:
         for bad in bads:
             with pytest.raises(ValueError):
                 EstimatorConfig(**{**valid, **bad})
+
+    def test_infinite_epsilon_is_rejected(self):
+        valid = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, case="I")
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            EstimatorConfig(**{**valid, "epsilon": math.inf})
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            build_config(math.inf, 10.0, "I", r=2, m=1.0)
 
     def test_build_config_validates_n_and_case(self):
         for n in (0.5, 0.0, -3.0, math.nan):

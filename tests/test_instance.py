@@ -170,6 +170,23 @@ class TestLogSumExp:
         assert_same_bits(log_partition(four_cycle, betas), scipy.special.logsumexp(logits, axis=-1))
 
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 23, 300])
+    def test_log_partition_matches_scipy_by_levels(self, levels):
+        # log counts 0.5 h put every level in a tie at beta = 0.5; the
+        # two-level case sums levels-first, the others on the beta-major layout
+        rng = np.random.default_rng(44)
+        h = np.arange(levels, dtype=float)
+        for lc in (0.5 * h, rng.normal(scale=3.0, size=levels)):
+            inst = CountInstance(zip(h, lc), 0.0, 2.0)
+            betas = np.concatenate([np.linspace(-1.0, 3.0, 201), [0.5, 0.5]])
+            logits = inst.log_counts - np.multiply.outer(betas, inst.energies)
+            want = scipy.special.logsumexp(logits, axis=-1)
+            assert_same_bits(log_partition(inst, betas), want)
+            assert float(log_partition(inst, 0.5)).hex() == float(want[-1]).hex()
+            none = scipy.special.logsumexp(np.empty((0, levels)), axis=-1)
+            assert_same_bits(log_partition(inst, np.empty(0)), none)
+
+
 class TestLogRatio:
     def test_singleton_exact(self):
         assert log_ratio_true(singleton_instance()) == pytest.approx(5.0, abs=1e-12)

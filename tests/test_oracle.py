@@ -108,10 +108,24 @@ class TestExactSampling:
         assert oracle.sample_at(np.zeros(4), rng).tolist() == [1.0] * 4
         assert oracle.sample_many(np.zeros(2), 3, rng).tolist() == [[1.0] * 3] * 2
 
-    @pytest.mark.parametrize("rows,size", [(60, 300), (3, 5000)])
-    def test_vector_matches_row_by_row_searchsorted(self, rows, size):
-        # (60, 300) splits the rows over chunks; (3, 5000) splits each row
-        inst = CountInstance([(h, 0.1 * h * (7 - h % 5)) for h in range(20)], 0.0, 2.0)
+    @pytest.mark.parametrize("levels,varied,rows,size", [
+        pytest.param(20, True, 60, 300, id="60-300"),
+        pytest.param(20, True, 3, 5000, id="3-5000"),
+        pytest.param(20, True, 400, 40, id="wide-table"),
+        pytest.param(256, False, 40, 30, id="256-levels"),
+        pytest.param(257, False, 40, 30, id="257-levels"),
+        pytest.param(300, False, 16, 300, id="narrow-300-levels"),
+    ])
+    def test_vector_matches_row_by_row_searchsorted(self, levels, varied, rows, size):
+        # 60-300 splits the rows over slices and 3-5000 splits each row, on
+        # tables narrow enough for the np.cumsum level sum; wide-table (400
+        # betas over 20 levels) takes the row adds.  256 and 257 levels sit on
+        # either side of the uint8/uint16 index count, and narrow-300-levels
+        # sums 16 betas over 300 levels by np.cumsum, each row in two slices.
+        # Unit counts make the top level, the largest count, likely at beta < 0.
+        inst = CountInstance(
+            [(h, 0.1 * h * (7 - h % 5) if varied else 0.0) for h in range(levels)], 0.0, 2.0
+        )
         assert rows * size * inst.support_size > 4 * _CHUNK_ELEMENTS
         betas = np.linspace(-0.5, 2.5, rows)
         oracle = SamplingOracle(inst)
@@ -124,6 +138,7 @@ class TestExactSampling:
             cum = np.cumsum(np.exp(logits - logits.max()))
             idx = np.searchsorted(cum, ref_rng.random(size) * cum[-1], side="right")
             np.testing.assert_array_equal(row, inst.energies[np.minimum(idx, cum.size - 1)])
+        assert draws.max() == inst.energies[-1]  # the largest index count is drawn
 
     @pytest.mark.parametrize("support", [1, 2, 23])
     def test_sample_at_matches_row_by_row_searchsorted(self, support):

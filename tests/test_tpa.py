@@ -31,6 +31,13 @@ def two_level_oracle():
     return SamplingOracle(CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0)))
 
 
+class ZeroRng:
+    """Generator stub whose uniforms are all exactly 0.0."""
+
+    def random(self, shape):
+        return np.zeros(shape)
+
+
 class TestTpaStep:
     def test_monotone(self, two_level_oracle):
         rng = np.random.default_rng(0)
@@ -41,6 +48,15 @@ class TestTpaStep:
         oracle = SamplingOracle(CountInstance([(0.0, 0.0)], 0.0, 1.0))
         rng = np.random.default_rng(1)
         assert (tpa_step(oracle, np.full(3, 0.3), rng) == np.inf).all()
+
+    def test_unit_uniform_steps_nowhere_but_to_infinity_at_zero_energy(self):
+        # uniforms of 0.0 give u = 1 and ln u = 0: the 0/0 of a zero energy
+        # must still jump to +inf, and a positive energy must not move
+        betas = np.array([0.0, 0.3, 1.0])
+        zero = SamplingOracle(CountInstance([(0.0, 0.0)], 0.0, 1.0))
+        assert (tpa_step(zero, betas, ZeroRng()) == np.inf).all()
+        unit = SamplingOracle(CountInstance([(1.0, 0.0)], 0.0, 1.0))
+        np.testing.assert_array_equal(tpa_step(unit, betas, ZeroRng()), betas)
 
     @pytest.mark.statistical
     def test_unit_energy_increment_is_exponential(self, unit_oracle):
