@@ -3,8 +3,9 @@
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
 print one check report and exit 0 on pass and 2 on failure; a rejected run
-setting or estimator knob, or a model too large to enumerate, is a one-line
-usage error (exit 2), raised before the first trial.
+setting or estimator knob, a case the instance does not fit, a model too large
+to enumerate, or a trial over the work budget is a one-line usage error
+(exit 2), raised before the first trial.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def _experiment_config(args) -> ExperimentConfig:
 def _resolve(args, cfg: ExperimentConfig):
     """The run's instance and estimator config, before any trial.
 
-    An estimator knob that ``build_config`` rejects is a usage error (exit 2);
+    An estimator knob that ``build_config`` rejects, a case that does not fit
+    the instance and a trial over the work budget are usage errors (exit 2);
     errors in building the model are not caught here.
     """
     inst = build_model_instance(cfg)

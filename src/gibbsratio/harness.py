@@ -41,6 +41,8 @@ from .instance import (
 )
 from .lowerbound import LowerBoundInstance, build_from_grid, curvature_sup, sensitivity
 from .models import (
+    TPA_POINT_BUDGET,
+    BudgetExceededError,
     enumerate_colorings,
     enumerate_ising,
     enumerate_matchings,
@@ -194,10 +196,25 @@ def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
 
 
 def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> EstimatorConfig:
+    """The estimator config of ``cfg`` on ``inst``, checked against the instance.
+
+    A forced case I on an instance with a zero-energy level is a ValueError.
+    A config whose trial expects more than ``TPA_POINT_BUDGET`` TPA points,
+    k ln(Z(beta_min)/Z(beta_max)), raises ``BudgetExceededError``.
+    """
     case = detect_case(inst) if cfg.case == "auto" else cfg.case
-    return build_config(
+    if case == "I" and inst.has_zero_level:
+        raise ValueError("case I does not apply: zero-energy level present; use case II or auto")
+    est = build_config(
         cfg.epsilon, inst.n, case, d=cfg.d, gamma=cfg.gamma, r=cfg.r, m=cfg.m, lam=cfg.lam
     )
+    points = est.k * log_ratio_true(inst)
+    if points > TPA_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"a trial expects k q = {points:.3g} TPA points, above the work budget "
+            f"{TPA_POINT_BUDGET} (16 B each)"
+        )
+    return est
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:

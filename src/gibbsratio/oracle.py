@@ -33,6 +33,11 @@ as every TPA wave of the benchmark workloads is, allocates no more.  Fresh
 table-sized temporaries per operation cost about 980 minor page faults per
 trial on the two-level q=64 workload; this layout takes none.
 
+``CHUNK_ELEMENTS`` (65,536) bounds a table block and a draw slice.  It is
+public because ``estimator.paired_product`` reads it too: it asks for at most
+that many draws per ``sample_many`` call (one level's r draws when r is
+larger), so the PPE holds no more draws than one block, whatever its length.
+
 An optional corruption wrapper mixes in a fixed alternative distribution with
 probability tv_budget, which bounds the total-variation distance from the
 exact oracle by tv_budget.
@@ -50,12 +55,13 @@ import numpy as np
 
 from .instance import CountInstance
 
-__all__ = ["Corruption", "SamplingOracle", "CORRUPTION_MODES"]
+__all__ = ["Corruption", "SamplingOracle", "CORRUPTION_MODES", "CHUNK_ELEMENTS"]
 
 CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
 
-# bound on the table entries of a block, and on the draws of a slice, in SamplingOracle._draw
-_CHUNK_ELEMENTS = 1 << 16
+# bound on the table entries of a block, and on the draws of a slice, in SamplingOracle._draw,
+# and on the draws of one paired_product block
+CHUNK_ELEMENTS = 1 << 16
 
 
 def _count_dtype(levels: int):
@@ -110,7 +116,7 @@ class SamplingOracle:
     def _draw(self, betas: np.ndarray, size: int, rng) -> np.ndarray:
         """``size`` exact draws per entry of the 1-D ``betas``, shape (len, size).
 
-        A block of about ``_CHUNK_ELEMENTS`` table entries, whatever ``size``
+        A block of about ``CHUNK_ELEMENTS`` table entries, whatever ``size``
         is, gets one table; the draws go in slices of whole output rows, or of
         part of one row, under the same bound.  A call whose draws times
         levels fit the bound is one table and one slice, drawn straight into
@@ -119,7 +125,7 @@ class SamplingOracle:
         """
         n = self.instance.energies.size
         out = np.empty((betas.size, size))
-        block = max(1, _CHUNK_ELEMENTS // n)  # betas per table; draws per slice if rows == 1
+        block = max(1, CHUNK_ELEMENTS // n)  # betas per table; draws per slice if rows == 1
         if betas.size * max(1, size) <= block:  # one table, one slice
             self._invert(self._table(betas), rng, out)
             return out

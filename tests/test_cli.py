@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from gibbsratio import harness
 from gibbsratio.cli import _experiment_config, build_parser, main
 from gibbsratio.harness import ExperimentConfig
 
@@ -141,6 +142,30 @@ class TestUsageErrors:
             "gibbsratio estimate: error: 3-colorings on 16 vertices has 43046721 states, "
             "above the enumeration budget 16777216\n"
         )
+
+    @pytest.mark.parametrize("command", ["trials", "estimate", "schedule"])
+    def test_case_the_instance_does_not_fit_exits_2_with_one_line(self, capsys, command):
+        # the default two-level model has a zero-energy level, so case I cannot apply
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--case", "I"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gibbsratio {command}: error: case I does not apply: "
+            "zero-energy level present; use case II or auto\n"
+        )
+
+    def test_trial_over_the_work_budget_exits_2_with_one_line(self, capsys, monkeypatch):
+        # k q = 8 x 3 = 24 expected TPA points against a budget of 20
+        monkeypatch.setattr(harness, "TPA_POINT_BUDGET", 20)
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--q", "3", "--eps", "1.0", "--d", "4", "--r", "6", "--m", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gibbsratio trials: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_error_past_the_config_keeps_its_traceback(self):
         with pytest.raises(ValueError, match="instance_path"):

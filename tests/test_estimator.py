@@ -1,10 +1,12 @@
 """Estimator parameter selection and paired product pipeline checks."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +20,13 @@ from gibbsratio.instance import (
     CountInstance,
     Schedule,
     log_ratio_true,
+    logsumexp,
     paired_moments,
     schedule_delta,
     singleton_instance,
     two_level_instance,
 )
-from gibbsratio.oracle import SamplingOracle
+from gibbsratio.oracle import CHUNK_ELEMENTS, SamplingOracle
 from gibbsratio.estimator import (
     EstimatorConfig,
     build_config,
@@ -361,6 +364,72 @@ class TestPairedProduct:
         vrel_emp = (w ** 2).mean() / w.mean() ** 2
         # 4-sigma tolerance via the delta method on E[W^2]/E[W]^2
         assert abs(vrel_emp - math.exp(delta)) < 0.02
+
+    @pytest.mark.parametrize("r,levels", [
+        (924, 262),  # q8-tight's shape: four blocks of 70 levels
+        (60, CHUNK_ELEMENTS // 60),  # exactly one block
+        (60, CHUNK_ELEMENTS // 60 + 1),  # one block plus one level
+        (924, 2),  # ell = 1
+        (CHUNK_ELEMENTS + 1, 2),  # ell = 1, one level per block
+    ], ids=["four-blocks", "one-block", "block-plus-one", "ell-1", "ell-1-split"])
+    def test_blocks_match_one_call_on_an_exact_oracle(self, r, levels):
+        # an exact oracle uses its uniforms beta by beta, r at a time, however
+        # the betas are split into calls; only the summation order differs
+        inst = two_level_instance(8.0)
+        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, levels))
+        rng = np.random.default_rng(16)
+        ref_rng = copy.deepcopy(rng)
+        res = paired_product(SamplingOracle(inst), sched, r, rng)
+        draws = SamplingOracle(inst).sample_many(sched.betas, r, ref_rng)
+        half_gaps = 0.5 * np.diff(sched.betas)
+        ref = logsumexp(half_gaps @ draws[1:]) - logsumexp(-(half_gaps @ draws[:-1]))
+        assert abs(res.q_hat - ref) <= 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert res.oracle_calls == levels * r
+
+    def test_draws_held_do_not_grow_with_the_schedule(self):
+        # 20,000 levels at r = 60 are 9.6 MB of draws in one array; a block
+        # holds at most CHUNK_ELEMENTS of them (0.5 MB)
+        inst = two_level_instance(8.0)
+        oracle = SamplingOracle(inst)
+        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, 20_000))
+        rng = np.random.default_rng(17)
+        tracemalloc.start()
+        try:
+            paired_product(oracle, sched, 60, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+
+RSS_SCRIPT = """
+import resource
+from gibbsratio.estimator import build_config, estimate
+from gibbsratio.harness import trial_rng
+from gibbsratio.instance import two_level_instance
+inst = two_level_instance(1000.0)
+estimate(inst, build_config(0.1, inst.n, "II"), trial_rng(11, 0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# Linux folds the spawning process's peak RSS into a child's ru_maxrss at
+# exec, so a fresh interpreter spawns the measured one and keeps pytest's out
+RELAY = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+@pytest.mark.slow
+def test_tight_estimate_at_q_1000_peaks_below_150_mb():
+    # one two-level estimate at eps = 0.1 (r = 924, about 1,000 schedule
+    # levels) in a fresh interpreter; one array of all its PPE draws put the
+    # peak near 280 MB, blocks of levels leave the TPA pool's near 70 MB
+    src = str(Path(gibbsratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", RELAY, sys.executable, "-c", RSS_SCRIPT],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    peak_kb = int(done.stdout.split()[-1])  # ru_maxrss is in KiB on Linux
+    assert peak_kb < 150 * 1024
 
 
 class TestEstimatePipeline:

@@ -25,6 +25,7 @@ from gibbsratio.harness import (
     write_records,
 )
 from gibbsratio.lowerbound import build_from_grid
+from gibbsratio.models import BudgetExceededError
 from gibbsratio.instance import log_ratio_true, save_instance, two_level_instance
 
 SMALL = dict(model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0, trials=25)
@@ -123,6 +124,19 @@ class TestModelDispatch:
         assert resolve_estimator_config(cfg, inst).case == "II"
         forced = ExperimentConfig(model="singleton", case="I", trials=1)
         assert resolve_estimator_config(forced, build_model_instance(forced)).case == "I"
+
+    def test_forced_case_one_on_a_zero_level_is_rejected(self):
+        cfg = ExperimentConfig(model="twolevel", target_q=2.0, case="I", trials=1)
+        with pytest.raises(ValueError, match="zero-energy level present"):
+            resolve_estimator_config(cfg, build_model_instance(cfg))
+
+    def test_work_budget_takes_q_3e4_and_refuses_q_1e6(self):
+        # headline k = 2,074: about 6.2e7 expected TPA points against 2.1e9
+        ok = ExperimentConfig(model="twolevel", target_q=3e4, trials=1)
+        assert resolve_estimator_config(ok, build_model_instance(ok)).k == 2074
+        big = ExperimentConfig(model="twolevel", target_q=1e6, trials=1)
+        with pytest.raises(BudgetExceededError, match="work budget"):
+            resolve_estimator_config(big, build_model_instance(big))
 
 
 class TestTrialRng:

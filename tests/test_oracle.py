@@ -13,7 +13,7 @@ from scipy import stats
 
 from gibbsratio.instance import CountInstance, singleton_instance, two_level_instance
 from gibbsratio.models import GraphSpec, enumerate_ising
-from gibbsratio.oracle import _CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
+from gibbsratio.oracle import CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
 
 ALPHA = 1e-3
 
@@ -126,7 +126,7 @@ class TestExactSampling:
         inst = CountInstance(
             [(h, 0.1 * h * (7 - h % 5) if varied else 0.0) for h in range(levels)], 0.0, 2.0
         )
-        assert rows * size * inst.support_size > 4 * _CHUNK_ELEMENTS
+        assert rows * size * inst.support_size > 4 * CHUNK_ELEMENTS
         betas = np.linspace(-0.5, 2.5, rows)
         oracle = SamplingOracle(inst)
         draws = oracle.sample_many(betas, size, np.random.default_rng(21))
@@ -166,7 +166,7 @@ class TestKernelScratch:
         (23, 2806, None),  # a TPA wave (sample_at) on the 23-level Ising grid
     ], ids=["q64-ppe", "q8-tight-ppe", "23-level-wave"])
     def test_peak_above_the_output_stays_near_one_table(self, support, rows, size):
-        # one table of _CHUNK_ELEMENTS float64 entries plus the slice buffers;
+        # one table of CHUNK_ELEMENTS float64 entries plus the slice buffers;
         # a second table-sized temporary would push the peak past 2x
         if support == 2:
             inst = two_level_instance(64.0)
@@ -188,7 +188,7 @@ class TestKernelScratch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 1.75 * _CHUNK_ELEMENTS * 8
+        assert peak - out.nbytes <= 1.75 * CHUNK_ELEMENTS * 8
 
     @pytest.mark.parametrize("rows,size", [(2075, 60), (260, 924)], ids=["q64-ppe", "q8-tight-ppe"])
     def test_multi_slice_calls_hold_one_slice_of_uniforms(self, rows, size):
@@ -204,7 +204,7 @@ class TestKernelScratch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes <= 1.4 * _CHUNK_ELEMENTS * 8
+        assert peak - out.nbytes <= 1.4 * CHUNK_ELEMENTS * 8
 
     @pytest.mark.parametrize("support", [1, 2, 23])
     def test_empty_requests_draw_nothing(self, support):
