@@ -402,6 +402,21 @@ class TestPairedProduct:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    def test_one_block_of_draws_is_live_at_a_time(self):
+        # q8-tight's shape, four blocks of 70 x 924 draws: a block still bound
+        # while the next one is drawn puts the peak near three blocks
+        inst = two_level_instance(8.0)
+        oracle = SamplingOracle(inst)
+        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, 262))
+        rng = np.random.default_rng(18)
+        tracemalloc.start()
+        try:
+            paired_product(oracle, sched, 924, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK_ELEMENTS * 8
+
 
 RSS_SCRIPT = """
 import resource
