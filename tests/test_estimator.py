@@ -387,35 +387,25 @@ class TestPairedProduct:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert res.oracle_calls == levels * r
 
-    def test_draws_held_do_not_grow_with_the_schedule(self):
-        # 20,000 levels at r = 60 are 9.6 MB of draws in one array; a block
-        # holds at most CHUNK_ELEMENTS of them (0.5 MB)
+    @pytest.mark.parametrize("levels,r,bound", [
+        # 20,000 levels at r = 60 are 9.6 MB of draws in one array
+        (20_000, 60, 4 * 2 ** 20),
+        # q8-tight's four blocks of 70 x 924 draws: a block still bound while
+        # the next one is drawn puts the peak near three blocks
+        (262, 924, 2 * CHUNK_ELEMENTS * 8),
+    ], ids=["20000-levels", "one-block-live"])
+    def test_draws_held_stay_within_a_block(self, levels, r, bound):
         inst = two_level_instance(8.0)
         oracle = SamplingOracle(inst)
-        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, 20_000))
+        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, levels))
         rng = np.random.default_rng(17)
         tracemalloc.start()
         try:
-            paired_product(oracle, sched, 60, rng)
+            paired_product(oracle, sched, r, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-
-    def test_one_block_of_draws_is_live_at_a_time(self):
-        # q8-tight's shape, four blocks of 70 x 924 draws: a block still bound
-        # while the next one is drawn puts the peak near three blocks
-        inst = two_level_instance(8.0)
-        oracle = SamplingOracle(inst)
-        sched = Schedule(np.linspace(inst.beta_min, inst.beta_max, 262))
-        rng = np.random.default_rng(18)
-        tracemalloc.start()
-        try:
-            paired_product(oracle, sched, 924, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * CHUNK_ELEMENTS * 8
+        assert peak < bound
 
 
 RSS_SCRIPT = """
@@ -434,7 +424,7 @@ RELAY = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncod
 
 @pytest.mark.slow
 def test_tight_estimate_at_q_1000_peaks_below_150_mb():
-    # one two-level estimate at eps = 0.1 (r = 924, about 1,000 schedule
+    # one two-level estimate at eps = 0.1 (r = 924, about 32,400 schedule
     # levels) in a fresh interpreter; one array of all its PPE draws put the
     # peak near 280 MB, blocks of levels leave the TPA pool's near 70 MB
     src = str(Path(gibbsratio.__file__).resolve().parents[1])
