@@ -3,14 +3,16 @@
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
 print one check report and exit 0 on pass and 2 on failure; a rejected run
-setting or estimator knob, a case the instance does not fit, a model too large
-to enumerate, or a trial over the work budget is a one-line usage error
-(exit 2), raised before the first trial.
+setting or estimator knob, an instance outside the estimator's energy range
+(an energy inside (0, 1), under any case) or a case it does not fit (case I
+on a zero-energy level), a model too large to enumerate, or a trial over the
+work budget is a one-line usage error (exit 2), raised before the first trial.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -106,8 +108,8 @@ def _experiment_config(args) -> ExperimentConfig:
 def _resolve(args, cfg: ExperimentConfig):
     """The run's instance and estimator config, before any trial.
 
-    An estimator knob that ``build_config`` rejects, a case that does not fit
-    the instance and a trial over the work budget are usage errors (exit 2);
+    An estimator knob that ``build_config`` rejects, an instance or case that
+    ``detect_case`` rejects and a trial over the work budget are usage errors (exit 2);
     errors in building the model are not caught here.
     """
     inst = build_model_instance(cfg)
@@ -123,9 +125,10 @@ def _usage_error(args, exc: Exception) -> NoReturn:
 
 
 def _open_out(args):
+    """The --out file opened for writing, or stdout, which the ``with`` leaves open."""
     if args.out is None:
-        return sys.stdout, False
-    return open(args.out, "w", encoding="utf-8"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(args.out, "w", encoding="utf-8")
 
 
 def _cmd_trials(args) -> int:
@@ -134,12 +137,8 @@ def _cmd_trials(args) -> int:
     inst, _ = _resolve(args, cfg)
     batch = run_trials(cfg, inst)
     elapsed = time.perf_counter() - started
-    stream, owned = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         write_records(batch.records, stream, fmt=args.format, include_timing=args.timing)
-    finally:
-        if owned:
-            stream.close()
     print(json.dumps(batch.summary, indent=2), file=sys.stderr)
     print(f"# elapsed {elapsed:.2f}s", file=sys.stderr)
     return 0
@@ -164,13 +163,9 @@ def _cmd_schedule(args) -> int:
         "per_interval_delta": per_interval.tolist(),
         "betas": sched.to_list(),
     }
-    stream, owned = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 

@@ -103,7 +103,7 @@ def log_upper_incomplete_gamma(a: int, b: float | np.ndarray) -> float | np.ndar
 
     a = int(a)
     j = np.arange(a)
-    series = special.logsumexp(special.xlogy(j, b[..., None]) - special.gammaln(j + 1), axis=-1)
+    series = logsumexp(special.xlogy(j, b[..., None]) - special.gammaln(j + 1))
     out = special.gammaln(a) - b + series
     return float(out) if out.ndim == 0 else out
 
@@ -315,15 +315,26 @@ def build_config(
     )
 
 
-def detect_case(inst: CountInstance) -> Case:
-    """Case II when a zero-energy level exists, case I when all h >= 1."""
-    if inst.has_zero_level:
-        return "II"
-    if inst.energies[0] >= 1.0:
-        return "I"
-    raise ValueError(
-        "support has energies inside (0, 1); the estimator assumes every energy is 0 or in [1, n]"
-    )
+def detect_case(inst: CountInstance, case: str = "auto") -> Case:
+    """The energy-range case of ``inst``: ``case`` checked against it, or picked for it.
+
+    The estimator's rate assumes every energy is 0 or in [1, n], whatever the
+    case, so an energy inside (0, 1) is a ValueError.  Case I (all energies in
+    [1, n]) does not apply to an instance with a zero-energy level, so asking
+    for it there is a ValueError too.  ``"auto"`` picks case II when a zero
+    level exists and case I otherwise; a requested case that fits is returned
+    as given.
+    """
+    zero = inst.has_zero_level
+    if int(zero) < inst.energies.size and inst.energies[int(zero)] < 1.0:
+        raise ValueError(
+            "support has energies inside (0, 1); the estimator assumes every energy is 0 or in [1, n]"
+        )
+    if case == "I" and zero:
+        raise ValueError("case I does not apply: zero-energy level present; use case II or auto")
+    if case not in ("auto", "I", "II"):
+        raise ValueError(f"unknown case {case!r}")
+    return ("II" if zero else "I") if case == "auto" else case
 
 
 def predicted_calls(config: EstimatorConfig, q: float) -> dict[str, float]:
@@ -397,11 +408,12 @@ def estimate(
 
     Succeeds with probability at least 3/4 in the sense that
     |q_hat - ln(Z(beta_min)/Z(beta_max))| <= ln(1 + epsilon) when the config
-    satisfies the admissible-rate condition for the instance's case.
+    satisfies the admissible-rate condition for the instance's case.  An
+    instance outside that case, or outside the energy range {0} u [1, n], is a
+    ValueError from ``detect_case``.
     """
     oracle = _as_oracle(target)
-    if config.case == "I" and oracle.instance.has_zero_level:
-        raise ValueError("zero-energy level present: use a case II config")
+    detect_case(oracle.instance, config.case)
     before = oracle.call_count
     sched, tpa_points = generate_schedule(oracle, config.k, config.d, rng)
     result = paired_product(oracle, sched, config.r, rng)

@@ -198,13 +198,12 @@ def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
 def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> EstimatorConfig:
     """The estimator config of ``cfg`` on ``inst``, checked against the instance.
 
-    A forced case I on an instance with a zero-energy level is a ValueError.
-    A config whose trial expects more than ``TPA_POINT_BUDGET`` TPA points,
+    ``detect_case`` checks ``cfg.case`` against the instance, or picks it for
+    ``"auto"``, and raises a ValueError when it does not fit.  A config whose
+    trial expects more than ``TPA_POINT_BUDGET`` TPA points,
     k ln(Z(beta_min)/Z(beta_max)), raises ``BudgetExceededError``.
     """
-    case = detect_case(inst) if cfg.case == "auto" else cfg.case
-    if case == "I" and inst.has_zero_level:
-        raise ValueError("case I does not apply: zero-energy level present; use case II or auto")
+    case = detect_case(inst, cfg.case)
     est = build_config(
         cfg.epsilon, inst.n, case, d=cfg.d, gamma=cfg.gamma, r=cfg.r, m=cfg.m, lam=cfg.lam
     )
@@ -450,7 +449,14 @@ def reference_process_checks(rng, k: int, pools: int) -> list[SuiteCheck]:
 
 
 def call_accounting_checks(batch: TrialBatch) -> list[SuiteCheck]:
-    """Exact accounting: every trial's calls equal ``EstimatorConfig.exact_calls``."""
+    """Exact accounting: every trial's calls equal ``EstimatorConfig.exact_calls``.
+
+    The identity holds per pipeline run.  A boosted record counts the calls of
+    all ``boost_t`` runs next to one run's points and levels, so a batch whose
+    config sets ``boost_t`` is a ValueError.
+    """
+    if batch.config.boost_t is not None:
+        raise ValueError("call accounting needs an unboosted batch; its config sets boost_t")
     est = batch.estimator_config
     exact = all(
         rec.oracle_calls == est.exact_calls(rec.tpa_points, rec.schedule_len)

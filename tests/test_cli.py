@@ -8,6 +8,7 @@ import pytest
 from gibbsratio import harness
 from gibbsratio.cli import _experiment_config, build_parser, main
 from gibbsratio.harness import ExperimentConfig
+from gibbsratio.instance import CountInstance, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +156,24 @@ class TestUsageErrors:
             f"gibbsratio {command}: error: case I does not apply: "
             "zero-energy level present; use case II or auto\n"
         )
+
+    @pytest.mark.parametrize("case", ["auto", "I", "II"])
+    @pytest.mark.parametrize("energies", [(0.5, 2.0), (0.0, 0.5, 2.0)], ids=["0.5-2", "0-0.5-2"])
+    def test_energy_inside_the_unit_interval_exits_2_under_any_case(
+        self, tmp_path, capsys, energies, case
+    ):
+        path = tmp_path / "inst.json"
+        save_instance(CountInstance([(h, 0.0) for h in energies], 0.0, 1.0), path)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "trials", "--model", "synthetic", "--instance", str(path), "--case", case,
+                "--trials", "2",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gibbsratio trials: error: support has energies inside (0, 1)")
+        assert captured.err.count("\n") == 1
 
     def test_trial_over_the_work_budget_exits_2_with_one_line(self, capsys, monkeypatch):
         # k q = 8 x 3 = 24 expected TPA points against a budget of 20

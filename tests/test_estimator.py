@@ -294,6 +294,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"every energy is 0 or in \[1, n\]"):
             detect_case(CountInstance([(0.5, 0.0)], 0.0, 1.0))
 
+    INSIDE = r"inside \(0, 1\)"
+    ZERO = "case I does not apply: zero-energy level present"
+
+    @pytest.mark.parametrize("energies,outcomes", [
+        ((0.5, 2.0), (INSIDE, INSIDE, INSIDE)),
+        ((0.0, 0.5, 2.0), (INSIDE, INSIDE, INSIDE)),
+        ((0.0, 1.0), ("II", ZERO, "II")),
+        ((0.0,), ("II", ZERO, "II")),
+        ((1.0,), ("I", "I", "II")),
+    ], ids=["inside-unit", "zero-and-inside-unit", "zero-and-one", "zero-alone", "one-alone"])
+    def test_detect_case_states_the_whole_rule(self, energies, outcomes):
+        # outcomes under auto, I and II: the case returned, or the error raised
+        inst = CountInstance([(h, 0.0) for h in energies], 0.0, 1.0)
+        for case, outcome in zip(("auto", "I", "II"), outcomes):
+            if outcome in ("I", "II"):
+                assert detect_case(inst, case) == outcome
+            else:
+                with pytest.raises(ValueError, match=outcome):
+                    detect_case(inst, case)
+
+    def test_detect_case_rejects_an_unknown_case(self):
+        with pytest.raises(ValueError, match="unknown case"):
+            detect_case(singleton_instance(), "III")
+
 
 class TestPairedProduct:
     def test_singleton_exact_any_schedule(self):
@@ -449,6 +473,12 @@ class TestEstimatePipeline:
         inst = two_level_instance(2.0)
         cfg = build_config(0.5, inst.n, "I")
         with pytest.raises(ValueError):
+            estimate(inst, cfg, np.random.default_rng(0))
+
+    def test_energy_inside_the_unit_interval_rejected_under_case_two(self):
+        inst = CountInstance([(0.5, 0.0), (2.0, 0.0)], 0.0, 1.0)
+        cfg = build_config(0.5, inst.n, "II")
+        with pytest.raises(ValueError, match=r"inside \(0, 1\)"):
             estimate(inst, cfg, np.random.default_rng(0))
 
     def test_structural_call_accounting(self):

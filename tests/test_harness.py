@@ -213,6 +213,13 @@ class TestRunTrials:
         )
 
 
+    def test_call_accounting_refuses_a_boosted_batch(self):
+        # a boosted record counts all t runs' calls next to one run's points and levels
+        batch = run_trials(ExperimentConfig(master_seed=29, boost_t=3, **{**SMALL, "trials": 5}))
+        with pytest.raises(ValueError, match="boost_t"):
+            call_accounting_checks(batch)
+
+
 class TestWilson:
     def test_known_value(self):
         lo, hi = wilson_interval(75, 100)

@@ -314,5 +314,16 @@ class TestCorruption:
         share = (draws == two_level.energies[-1]).mean(axis=1)
         assert np.abs(share - 0.5).max() < 0.04
 
+    @pytest.mark.statistical
+    @pytest.mark.parametrize("mode,share", [("adversarial_max_h", 0.5), ("uniform", 0.25)])
+    def test_sample_at_draws_the_corruption_law(self, two_level, mode, share):
+        # at beta = 40 the exact oracle almost never emits h = 1, so the top
+        # share is the budget times the mode's mass on the top energy
+        oracle = SamplingOracle(two_level, Corruption(0.5, mode))
+        n = 20_000
+        draws = oracle.sample_at(np.full(n, 40.0), np.random.default_rng(15))
+        emp = (draws == two_level.energies[-1]).mean()
+        assert abs(emp - share) < 4 * math.sqrt(share * (1 - share) / n)
+
     def test_modes_registry(self):
         assert set(CORRUPTION_MODES) == {"uniform", "adversarial_max_h", "adversarial_min_h"}
