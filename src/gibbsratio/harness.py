@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -266,6 +265,8 @@ def run_trials(cfg: ExperimentConfig, inst: CountInstance | None = None) -> Tria
     q_true = log_ratio_true(inst)
     payloads = [(inst, est_cfg, cfg, index, q_true) for index in range(cfg.trials)]
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import; serial runs skip it
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_run_one_trial, payloads, chunksize=8))
     else:

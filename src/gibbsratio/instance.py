@@ -315,8 +315,9 @@ def schedule_delta(inst: CountInstance, sched: Schedule) -> tuple[float, np.ndar
     scale = max(1.0, abs(inst.beta_min), abs(inst.beta_max))
     if abs(b[0] - inst.beta_min) > 1e-9 * scale or abs(b[-1] - inst.beta_max) > 1e-9 * scale:
         raise ValueError("schedule endpoints do not match instance bounds")
-    z_ends = log_partition(inst, b)
-    z_mids = log_partition(inst, 0.5 * (b[:-1] + b[1:]))
+    # one call over ends and midpoints: each row's log-sum-exp is its own
+    z = log_partition(inst, np.concatenate((b, 0.5 * (b[:-1] + b[1:]))))
+    z_ends, z_mids = z[:b.size], z[b.size:]
     per_interval = z_ends[:-1] - 2.0 * z_mids + z_ends[1:]
     return float(per_interval.sum()), per_interval
 

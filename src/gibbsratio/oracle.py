@@ -14,6 +14,22 @@ operations across the betas.  Reducing a beta-major table along its short
 last axis runs one numpy inner loop per beta: about 120 ns per two-level
 ``sample_at`` draw against about 31 ns.
 
+The logits log c_j - beta h_j of a table are one matrix product: the
+handle's (levels, 2) matrix [log c, -h], built once in ``__init__``, times
+the (2, betas) matrix [1; betas].  It replaced ``np.multiply.outer`` followed
+by a broadcast subtract, two passes over the table where the product makes
+one.  With the max shift, 23 levels took 55 us against 132 us at 1,200 betas
+and 122 against 173 us at 2,806, 300 levels x 200 betas 109 against 256 us,
+and two levels were level (23 against 25 us at 2,074 betas; min of 7 timeit
+repeats).  The product's fused multiply-add may round a logit once where the
+subtract rounded twice, so an entry can move by an ulp or two of
+|log c_j| + |beta h_j|; a draw moves only where u * total lands that close to
+a table entry.  The same holds between CPUs whose BLAS kernels do and do not
+fuse.  Up to 65,536 levels a table holds at most ``CHUNK_ELEMENTS`` entries,
+so a product is at most 2 x 65,536 multiply-adds, below OpenBLAS's threshold
+for threading it: it runs on the calling thread (CPU over wall time 1.00 at
+2, 23, 64 and 300 levels, against 1.97 for a 500 x 200 x 500 product).
+
 The running sum is picked by the table's width.  One in-place add per level
 costs about 0.5 us a row at any width; ``np.cumsum`` down the rows costs
 about 3 us plus 4.5 ns an entry.  So ``np.cumsum`` takes a table only when
@@ -27,11 +43,12 @@ unsigned type that holds levels - 1: uint8 up to 256 levels, uint16 up to
 for a bool-to-intp sum.
 
 A call allocates its output and one table per block of betas, built and
-exponentiated in place.  A call of several draw slices also allocates one set
-of slice buffers that every slice reuses; a call of one table and one slice,
-as every TPA wave of the benchmark workloads is, allocates no more.  Fresh
-table-sized temporaries per operation cost about 980 minor page faults per
-trial on the two-level q=64 workload; this layout takes none.
+exponentiated in place, with the table's two-row [1; betas] multiplier.  A
+call of several draw slices also allocates one set of slice buffers that
+every slice reuses; a call of one table and one slice, as every TPA wave of
+the benchmark workloads is, allocates no more.  Fresh table-sized
+temporaries per operation cost about 980 minor page faults per trial on the
+two-level q=64 workload; this layout takes none.
 
 ``CHUNK_ELEMENTS`` (65,536) bounds a table block and a draw slice.  It is
 public because ``estimator.paired_product`` reads it too: it asks for at most
@@ -91,7 +108,7 @@ class Corruption:
 class SamplingOracle:
     """Draws energies from the Gibbs weights of a count instance."""
 
-    __slots__ = ("instance", "corruption", "_calls")
+    __slots__ = ("instance", "corruption", "_calls", "_logit_matrix")
 
     def __init__(self, instance: CountInstance, corruption: Corruption | None = None):
         if corruption is not None and corruption.tv_budget == 0.0:
@@ -99,6 +116,8 @@ class SamplingOracle:
         self.instance = instance
         self.corruption = corruption
         self._calls = 0
+        # row j is [log c_j, -h_j]: the logits at betas are this @ [1; betas]
+        self._logit_matrix = np.column_stack((instance.log_counts, -instance.energies))
 
     def __repr__(self):
         tag = "exact" if self.corruption is None else (
@@ -145,11 +164,12 @@ class SamplingOracle:
         return out
 
     def _table(self, betas: np.ndarray) -> np.ndarray:
-        """Cumulative max-shifted weights, shape (levels, betas): row j sums levels 0..j."""
-        cum = np.multiply.outer(self.instance.energies, betas)
-        np.subtract(self.instance.log_counts[:, None], cum, out=cum)
-        cum -= cum.max(axis=0)
-        np.exp(cum, out=cum)
+        """Cumulative max-shifted weights, shape (levels, betas): row j sums levels 0..j.
+
+        The weights come from ``_weights``: one product for the logits, then
+        the max shift and the ``exp``.
+        """
+        cum = self._weights(betas)
         n, width = cum.shape
         if width * (n + 4) < 110 * (n - 6):  # narrow: see the module docstring
             np.cumsum(cum, axis=0, out=cum)
@@ -160,6 +180,21 @@ class SamplingOracle:
                 row += below
                 below = row
         return cum
+
+    def _weights(self, betas: np.ndarray) -> np.ndarray:
+        """exp(logits - column max), shape (levels, betas); each column's largest is 1.0.
+
+        The logits log c_j - beta h_j are one (levels, 2) @ (2, betas)
+        product, which may round once where log c - beta h rounds twice; at
+        this size it runs on the calling thread.  See the module docstring
+        for its cost and rounding.
+        """
+        ones_betas = np.empty((2, betas.size))
+        ones_betas[0] = 1.0
+        ones_betas[1] = betas
+        w = self._logit_matrix @ ones_betas
+        w -= w.max(axis=0)
+        return np.exp(w, out=w)
 
     def _invert(self, cum, rng, dst, below=None, count=None) -> None:
         """Inverse-CDF draws into ``dst`` (betas, draws) from the table ``cum``;

@@ -3,11 +3,16 @@
 import io
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gibbsratio
 from gibbsratio.harness import (
     ExperimentConfig,
     TrialRecord,
@@ -218,6 +223,26 @@ class TestRunTrials:
         batch = run_trials(ExperimentConfig(master_seed=29, boost_t=3, **{**SMALL, "trials": 5}))
         with pytest.raises(ValueError, match="boost_t"):
             call_accounting_checks(batch)
+
+
+SERIAL_BATCH_SCRIPT = """
+import sys
+import gibbsratio
+from gibbsratio.harness import ExperimentConfig, run_trials
+batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
+print(len(batch.records), "concurrent.futures.process" in sys.modules)
+"""
+
+
+def test_serial_batches_never_import_the_process_pool():
+    # a fresh interpreter: concurrent.futures.process costs about 20 ms to
+    # import, so only run_trials with workers > 1 loads it
+    src = str(Path(gibbsratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", SERIAL_BATCH_SCRIPT], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["2", "False"]
 
 
 class TestWilson:

@@ -300,6 +300,20 @@ class TestScheduleDelta:
             total += paired_moments(four_cycle, lo, hi).log_vrel
         assert delta == pytest.approx(total, abs=1e-10)
 
+    @pytest.mark.parametrize("support", [1, 2, 3, 23, 300])
+    @pytest.mark.parametrize("levels", [2, 3, 23, 300])
+    def test_one_call_matches_the_two_call_form_bit_for_bit(self, support, levels):
+        # schedule_delta evaluates ends and midpoints in one log_partition call;
+        # each row's log-sum-exp is its own, so the split halves are the same bits
+        inst = CountInstance([(h, 0.1 * h * (7 - h % 5)) for h in range(support)], 0.0, 2.0)
+        betas = np.linspace(0.0, 2.0, levels)
+        z_ends = log_partition(inst, betas)
+        z_mids = log_partition(inst, 0.5 * (betas[:-1] + betas[1:]))
+        expected = z_ends[:-1] - 2.0 * z_mids + z_ends[1:]
+        delta, per = schedule_delta(inst, Schedule(betas))
+        assert [x.hex() for x in per.tolist()] == [x.hex() for x in expected.tolist()]
+        assert delta.hex() == float(expected.sum()).hex()
+
 
 class TestPairedMoments:
     def test_singleton_interval(self):

@@ -159,6 +159,47 @@ class TestExactSampling:
         np.testing.assert_array_equal(draws, ref)
 
 
+def fuzzed_supports(levels, seed):
+    """20 instances at the ranges of the wide-instance fuzz (energies up to 1e6,
+    log-counts up to +-1,500, windows 1e-6 to 1e3 wide), each with 50 betas
+    across and beyond its window."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        energies = rng.uniform(1.0, 10 ** rng.uniform(0, 6), levels)
+        if rng.random() < 0.5:
+            energies[0] = 0.0
+        width = 10 ** rng.uniform(-6, 3)
+        lo = rng.uniform(-1, 1) * width
+        inst = CountInstance(zip(energies, rng.uniform(-1500, 1500, levels)), lo, lo + width)
+        betas = np.concatenate([np.linspace(lo - width, lo + 2 * width, 40), rng.uniform(-3, 3, 10)])
+        yield inst, betas
+
+
+class TestProductTable:
+    @pytest.mark.parametrize("levels", [1, 2, 3, 23, 300])
+    def test_table_matches_the_subtracted_logits(self, levels):
+        # the product may round a logit once where log_counts - beta * energies
+        # rounds twice; either is within an ulp or two of its largest term,
+        # |log c_j| + |beta h_j|, and a weight moves by as much, relatively.
+        # So: a relative 1e-12 while the terms stay within 1,000, in proportion
+        # beyond, and 1e-300 absolute for subnormal weights
+        for inst, betas in fuzzed_supports(levels, seed=levels):
+            logits = inst.log_counts[:, None] - betas * inst.energies[:, None]
+            ref = np.cumsum(np.exp(logits - logits.max(axis=0)), axis=0)
+            terms = np.abs(inst.log_counts)[:, None] + np.abs(betas * inst.energies[:, None])
+            rtol = 1e-12 * np.maximum(1.0, terms.max(axis=0) / 1e3)
+            cum = SamplingOracle(inst)._table(betas)
+            assert cum.shape == (levels, betas.size)
+            assert (np.abs(cum - ref) <= rtol * ref + 1e-300).all()
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 23, 300])
+    def test_largest_weight_is_exactly_one(self, levels):
+        # the max shift subtracts each column's largest logit from itself
+        for inst, betas in fuzzed_supports(levels, seed=levels):
+            weights = SamplingOracle(inst)._weights(betas)
+            assert (weights.max(axis=0) == 1.0).all()
+
+
 class TestKernelScratch:
     @pytest.mark.parametrize("support,rows,size", [
         (2, 2075, 60),  # a PPE call on the q=64 schedule
