@@ -251,8 +251,14 @@ class EstimatorConfig:
         """|q_hat - q| within this margin counts as a success: ln(1 + eps)."""
         return math.log1p(self.epsilon)
 
-    def exact_calls(self, tpa_points: int, schedule_len: int) -> int:
-        """Oracle calls of one trial: TPA's points + k, then (ell + 1) r for the PPE."""
+    def exact_calls(self, tpa_points: float, schedule_len: float) -> float:
+        """Oracle calls of one trial: TPA's points + k, then (ell + 1) r for the PPE.
+
+        This is the package's one statement of the call identity.  The calls
+        themselves are counted only by the oracle's ``call_count``; the
+        accounting check holds that counter to this identity trial by trial,
+        and ``predicted_calls`` evaluates it at its expectations.
+        """
         return (tpa_points + self.k) + (schedule_len + 1) * self.r
 
 
@@ -338,23 +344,30 @@ def detect_case(inst: CountInstance, case: str = "auto") -> Case:
 
 
 def predicted_calls(config: EstimatorConfig, q: float) -> dict[str, float]:
-    """Expected oracle calls per trial, as implemented and in the one-terminal-draw convention."""
-    base = config.m * q * (config.r + config.d) + 2 * config.r
-    return {
-        "implemented": base + config.k,
-        "single_terminal": base + 1,
-    }
+    """Expected oracle calls per trial, as implemented and in the one-terminal-draw convention.
+
+    ``exact_calls`` at the expectations E[points] = k q and E[ell] = m q + 1,
+    so the prediction and the per-trial check share one formula.  The
+    one-terminal-draw convention counts one terminal draw where TPA's k runs
+    take k, so it is ``implemented - k + 1``.
+    """
+    implemented = config.exact_calls(config.k * q, config.m * q + 1)
+    return {"implemented": implemented, "single_terminal": implemented - config.k + 1}
 
 
 @dataclass
 class EstimateResult:
-    """Outcome of one schedule generation plus paired product run."""
+    """Outcome of one schedule generation plus paired product run.
+
+    It holds no call count: the oracle's ``call_count`` is the count, and
+    ``EstimatorConfig.exact_calls(tpa_points, schedule_len)`` is what it must
+    equal for one ``estimate``.
+    """
 
     log_w_bar: float
     log_v_bar: float
     q_hat: float
     schedule_len: int
-    oracle_calls: int
     tpa_points: int = 0
     schedule: Schedule | None = None
 
@@ -362,12 +375,12 @@ class EstimateResult:
 def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> EstimateResult:
     """Run the paired product estimator with r independent runs on a schedule.
 
-    Draws r energies at every level, consuming exactly (ell + 1) r oracle
-    calls.  The levels go in consecutive blocks of max(1, CHUNK_ELEMENTS // r),
-    one ``sample_many`` call each (level-major, so row i of a block holds the
-    r draws at its i-th beta).  Each block's share of ln W and ln V is added
-    in by two matrix-vector products, so the draws held at once never exceed
-    one block, whatever ell is.
+    Draws r energies at every level, (ell + 1) r oracle calls, which the
+    oracle's ``call_count`` records.  The levels go in consecutive blocks of
+    max(1, CHUNK_ELEMENTS // r), one ``sample_many`` call each (level-major,
+    so row i of a block holds the r draws at its i-th beta).  Each block's
+    share of ln W and ln V is added in by two matrix-vector products, so the
+    draws held at once never exceed one block, whatever ell is.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -392,7 +405,6 @@ def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> Esti
         log_v_bar=log_v_bar,
         q_hat=log_v_bar - log_w_bar,
         schedule_len=ell,
-        oracle_calls=(ell + 1) * r,
         schedule=sched,
     )
 
@@ -411,14 +423,17 @@ def estimate(
     satisfies the admissible-rate condition for the instance's case.  An
     instance outside that case, or outside the energy range {0} u [1, n], is a
     ValueError from ``detect_case``.
+
+    One estimate makes ``config.exact_calls(result.tpa_points,
+    result.schedule_len)`` oracle calls, and the oracle counts them.  To read
+    the count, pass a ``SamplingOracle`` and read its ``call_count``; an
+    instance gets a fresh oracle whose count is not returned.
     """
     oracle = _as_oracle(target)
     detect_case(oracle.instance, config.case)
-    before = oracle.call_count
     sched, tpa_points = generate_schedule(oracle, config.k, config.d, rng)
     result = paired_product(oracle, sched, config.r, rng)
     result.tpa_points = tpa_points
-    result.oracle_calls = oracle.call_count - before
     return result
 
 

@@ -202,9 +202,6 @@ class Schedule:
     def __reduce__(self):
         return (Schedule, (self.to_list(),))
 
-    def __len__(self) -> int:
-        return self.betas.size
-
     def __repr__(self):
         return f"Schedule(ell={self.ell}, [{self.betas[0]:g} .. {self.betas[-1]:g}])"
 
@@ -342,9 +339,13 @@ def paired_moments(inst: CountInstance, beta_lo: float, beta_hi: float) -> Paire
     )
 
 
-def singleton_instance(h: float = 1.0, beta_min: float = 0.0, beta_max: float = 5.0, count: float = 1.0) -> CountInstance:
-    """Single-level fixture: ln Z is linear, every estimator run is exact."""
-    return CountInstance([(h, math.log(count))], beta_min, beta_max)
+def singleton_instance(h: float = 1.0, beta_min: float = 0.0, beta_max: float = 5.0) -> CountInstance:
+    """Single-level fixture: ln Z is linear, every estimator run is exact.
+
+    Its one level has log-count 0: a lone level's count cancels out of every
+    Gibbs weight and of q.
+    """
+    return CountInstance([(h, 0.0)], beta_min, beta_max)
 
 
 def two_level_instance(target_q: float, log_count_high: float | None = None) -> CountInstance:

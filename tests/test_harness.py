@@ -105,6 +105,20 @@ class TestModelDispatch:
         with pytest.raises(ValueError):
             ExperimentConfig(model="curveball")
 
+    @pytest.mark.parametrize("bad,message", [
+        (dict(trials=0), "trials must be at least 1"),
+        (dict(workers=0), "workers must be at least 1"),
+        (dict(case="III"), "case must be 'auto', 'I' or 'II'"),
+    ], ids=["trials-zero", "workers-zero", "case-unknown"])
+    def test_bad_run_knobs_rejected_at_build(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize("model", ["ising", "colorings", "matchings"])
+    def test_graph_model_needs_graph_path(self, model):
+        with pytest.raises(ValueError, match=f"{model} model needs graph_path"):
+            build_model_instance(ExperimentConfig(model=model, trials=1))
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestConstruction:
     def test_rejects_negative_energy(self):
         with pytest.raises(ValueError):
             CountInstance([(-1.0, 0.0)], 0.0, 1.0)
+
+    @pytest.mark.parametrize("level", [
+        (math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan),
+    ], ids=["h-inf", "h-nan", "lc-inf", "lc-minus-inf", "lc-nan"])
+    def test_rejects_non_finite_level(self, level):
+        with pytest.raises(ValueError, match="must be finite"):
+            CountInstance([(0.0, 0.0), level], 0.0, 1.0)
+
+    def test_rejects_declared_n_below_top_energy(self):
+        with pytest.raises(ValueError, match="below maximal energy"):
+            CountInstance([(1.0, 0.0), (3.0, 0.0)], 0.0, 1.0, n=2.5)
 
     def test_default_n_is_max_energy(self, four_cycle):
         assert four_cycle.n == 4.0
@@ -349,6 +361,25 @@ class TestSchedule:
     def test_ell(self):
         assert Schedule([0.0, 1.0, 2.0]).ell == 2
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_level(self, bad):
+        with pytest.raises(ValueError, match="levels must be finite"):
+            Schedule([0.0, 1.0, bad])
+
+    def test_immutability(self):
+        sched = Schedule([0.0, 1.0])
+        with pytest.raises(AttributeError, match="immutable"):
+            sched.betas = np.array([0.0, 2.0])
+        with pytest.raises(ValueError):
+            sched.betas[0] = 0.5
+
+    def test_pickle_round_trip_stays_read_only(self):
+        # a pickled read-only array comes back writeable; __reduce__ rebuilds instead
+        sched = Schedule([0.0, 0.25, 1.0 / 3.0, 2.0])
+        back = pickle.loads(pickle.dumps(sched))
+        assert np.array_equal(back.betas, sched.betas)
+        assert not back.betas.flags.writeable
+
 
 class TestFixtureBuilders:
     @pytest.mark.parametrize("log_count_high", [None, 300.0])
@@ -357,6 +388,11 @@ class TestFixtureBuilders:
         inst = two_level_instance(q, log_count_high=log_count_high)
         assert inst.has_zero_level
         assert log_ratio_true(inst) == pytest.approx(q, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.nan])
+    def test_two_level_rejects_non_positive_target(self, q):
+        with pytest.raises(ValueError, match="target_q must be positive"):
+            two_level_instance(q)
 
     def test_two_level_rejects_unreachable_target(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Product-form adversarial family: expansions, tilts, and closed-form caps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,10 @@ class TestBuildFromTarget:
         with pytest.raises(ValueError):
             build(400.0, 2, c2=1.8)  # N = 35 > m(n-1)
 
+    def test_rejects_an_energy_range_below_two(self):
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            build(85.0, 1)
+
 
 class TestPerturbation:
     def test_zero_tilt_is_identity(self):
@@ -134,6 +139,12 @@ class TestCurvature:
         # at ell = 1: a_1/a_1 + a_2/a_2 = 2, so the cap is 2/m^2
         lb = build_from_grid(2, 1)
         assert curvature_sup(lb).kappa_ell_bound == pytest.approx(2.0)
+
+    def test_one_factor_rejected(self):
+        # build_from_grid refuses one factor, so narrow a built instance
+        lb = dataclasses.replace(build_from_grid(2, 1), n_factors=1)
+        with pytest.raises(ValueError, match="at least two factors"):
+            curvature_sup(lb)
 
     def test_cap_hierarchy(self):
         lb = build_from_grid(16, 2)

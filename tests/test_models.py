@@ -60,6 +60,16 @@ class TestGraphSpec:
         with pytest.raises(ValueError):
             GraphSpec(2, ((0, 2),))
 
+    def test_rejects_no_vertex(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            GraphSpec(0, ())
+
+    def test_load_graph_rejects_a_file_without_edges(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# no edges\n\n")
+        with pytest.raises(ValueError, match="no edges found"):
+            load_graph(path)
+
     def test_load_graph(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("# square\n0 1\n1 2\n2 3\n3 0\n")
@@ -148,6 +158,11 @@ class TestMatchings:
         inst = enumerate_matchings(g)
         assert counts_of(inst) == pytest.approx(brute_matchings(g))
 
+    def test_more_than_24_edges_exceed_the_budget(self):
+        g = GraphSpec(8, tuple(itertools.combinations(range(8), 2))[:25])
+        with pytest.raises(BudgetExceededError, match="25 edges"):
+            enumerate_matchings(g)
+
     def test_z_at_zero_counts_all_matchings(self):
         inst = enumerate_matchings(FOUR_CYCLE)
         assert math.exp(log_partition(inst, 0.0)) == pytest.approx(7.0)
@@ -157,3 +172,13 @@ def test_beta_max_for_ground_state_formula():
     support = [(0, 6.0), (1, 10.0), (2, 4.0)]
     b = beta_max_for_ground_state(support, rel_err=1e-3)
     assert b == pytest.approx(math.log(14.0 / (1e-3 * 6.0)))
+
+
+@pytest.mark.parametrize("support,message", [
+    ([(1, 2.0), (2, 1.0)], "no zero-energy level"),
+    ([(0, 0.0), (1, 2.0)], "no zero-energy level"),
+    ([(0, 3.0)], "no positive-energy level"),
+], ids=["no-zero", "zero-count-zero", "no-positive"])
+def test_beta_max_for_ground_state_rejects_a_missing_level(support, message):
+    with pytest.raises(ValueError, match=message):
+        beta_max_for_ground_state(support)

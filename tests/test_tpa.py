@@ -171,6 +171,11 @@ class TestScheduleGeneration:
         assert sched.to_list() == [0.0, 1e-9]
         assert count == 0
 
+    def test_rejects_d_below_one(self, unit_oracle):
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            generate_schedule(unit_oracle, 1, 0, np.random.default_rng(0))
+        assert unit_oracle.call_count == 0
+
     def test_endpoints_always_pinned(self, unit_oracle):
         rng = np.random.default_rng(18)
         for _ in range(100):
