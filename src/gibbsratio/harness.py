@@ -90,7 +90,11 @@ TAU_TABLE = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One reproducible batch: model choice, estimator knobs, seeding."""
+    """One reproducible batch: model choice, estimator knobs, seeding.
+
+    Construction rejects a knob out of range, whichever model reads it, and a
+    window override that is not finite and increasing or that the model fixes.
+    """
 
     model: str = "twolevel"
     target_q: float = 8.0            # twolevel
@@ -129,6 +133,19 @@ class ExperimentConfig:
             raise ValueError("boost_t must be a positive odd integer")
         if not self.target_q > 0:
             raise ValueError("target_q must be positive")
+        if self.kcolors < 2:
+            raise ValueError("kcolors must be at least 2")
+        if self.n_factors < 2:
+            raise ValueError("n_factors must be at least 2")
+        if self.m_grid < 1:
+            raise ValueError("m_grid must be at least 1")
+        window = [b for b in (self.beta_min, self.beta_max) if b is not None]
+        if window and self.model in ("twolevel", "lowerbound"):
+            raise ValueError(f"{self.model} model fixes its own beta window; drop beta_min/beta_max")
+        if not all(math.isfinite(b) for b in window):
+            raise ValueError("beta_min and beta_max must be finite")
+        if len(window) == 2 and not self.beta_max > self.beta_min:
+            raise ValueError("beta_max must exceed beta_min")
 
 
 @dataclass(slots=True)
@@ -170,8 +187,6 @@ def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
         for name, value in (("beta_min", cfg.beta_min), ("beta_max", cfg.beta_max))
         if value is not None
     }
-    if window and cfg.model in ("twolevel", "lowerbound"):
-        raise ValueError(f"{cfg.model} model fixes its own beta window; drop beta_min/beta_max")
     if cfg.model == "singleton":
         return singleton_instance(**window)
     if cfg.model == "twolevel":

@@ -2,17 +2,16 @@
 
 An oracle draws energy values with probability c_h e^{-beta h} / Z(beta) and
 counts every draw it serves.  All exact draws go through one kernel,
-``SamplingOracle._draw``: per requested beta it builds a max-shifted
-cumulative weight table and draws by inverse CDF, the index being the number
-of entries before the last that are <= u * total (``searchsorted`` with
-side="right").  A vector of betas is served in one call, level-major with one
-uniform per draw.
+``SamplingOracle._draw``: per requested beta it builds a cumulative weight
+table and draws by inverse CDF, the index being the number of entries before
+the last that are <= u * total (``searchsorted`` with side="right").  A
+vector of betas is served in one call, level-major with one uniform per draw.
 
 The tables are energy-major, one row per level and one column per beta, so
-the max shift, the running sum and the index count are whole-row elementwise
-operations across the betas.  Reducing a beta-major table along its short
-last axis runs one numpy inner loop per beta: about 120 ns per two-level
-``sample_at`` draw against about 31 ns.
+the running sum and the index count are whole-row elementwise operations
+across the betas.  Reducing a beta-major table along its short last axis
+runs one numpy inner loop per beta: about 120 ns per two-level ``sample_at``
+draw against about 31 ns.
 
 The logits log c_j - beta h_j of a table are one matrix product: the
 handle's (levels, 2) matrix [log c, -h], built once in ``__init__``, times
@@ -29,6 +28,28 @@ fuse.  Up to 65,536 levels a table holds at most ``CHUNK_ELEMENTS`` entries,
 so a product is at most 2 x 65,536 multiply-adds, below OpenBLAS's threshold
 for threading it: it runs on the calling thread (CPU over wall time 1.00 at
 2, 23, 64 and 300 levels, against 1.97 for a 500 x 200 x 500 product).
+
+A table's logits are taken relative to level 0's line where no column can
+overflow.  ``__init__`` also builds [log c_j - log c_0, -(h_j - h_0)], whose
+row 0 is [0, 0], and the floor
+beta* = max_{j >= 1} (log c_j - log c_0 - 600) / (h_j - h_0), or -inf on one
+level.  Energies are sorted and distinct, so each relative logit falls as
+beta rises and none exceeds 600 from beta* up.  A table whose smallest beta
+is at least beta* exponentiates that product as it is: level 0's weight is
+exactly 1.0, so no column underflows, and a column sums to at most
+levels x e^600, so none overflows.  Below the floor a table takes the max
+shift, each column's largest logit subtracted from it.  An unshifted weight
+is e^g times its max-shifted value, g >= 0 being the column's largest
+relative logit, so no weight that was a normal float becomes subnormal and
+no more of the ``exp``'s inputs take its slow path.  The inverse CDF does not
+depend on a column's scale, so only rounding moves, as with the product; the
+record hashes of ``tools/records.py`` did not change.  Every table of the
+benchmark workloads lies above its floor (-591 at two-level q=8, -535 at
+q=64, -25 on the 4x4 Ising grid, all below beta_min = 0); two-level q=1000
+(floor 401) and lb64 (30.4) take both paths.  Skipping the column max and
+the subtract took the 23 x 2,806 Ising weights from 132-163 to 80-88 us
+and the 2 x 2,074 q=64 weights from 15-17 to 11 us (min of 7 timeit
+repeats, three alternating runs, 2-vCPU Xeon VM).
 
 The running sum is picked by the table's width.  One in-place add per level
 costs about 0.5 us a row at any width; ``np.cumsum`` down the rows costs
@@ -80,6 +101,12 @@ CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
 # and on the draws of one paired_product block
 CHUNK_ELEMENTS = 1 << 16
 
+# largest logit, relative to level 0's, that SamplingOracle._weights exponentiates
+# unshifted.  Level 0's weight is then 1.0 and every other weight at most e^600,
+# about 3.8e260, so a column sums to at most levels x e^600: below the float
+# maximum (about e^709.78) up to e^109 levels, far beyond any table.
+_RELATIVE_LOGIT_CAP = 600.0
+
 
 def _count_dtype(levels: int):
     """The narrowest unsigned type that holds an index, at most levels - 1."""
@@ -108,7 +135,7 @@ class Corruption:
 class SamplingOracle:
     """Draws energies from the Gibbs weights of a count instance."""
 
-    __slots__ = ("instance", "corruption", "_calls", "_logit_matrix")
+    __slots__ = ("instance", "corruption", "_calls", "_logit_matrix", "_relative_matrix", "_floor")
 
     def __init__(self, instance: CountInstance, corruption: Corruption | None = None):
         if corruption is not None and corruption.tv_budget == 0.0:
@@ -118,6 +145,12 @@ class SamplingOracle:
         self._calls = 0
         # row j is [log c_j, -h_j]: the logits at betas are this @ [1; betas]
         self._logit_matrix = np.column_stack((instance.log_counts, -instance.energies))
+        # row j is [log c_j - log c_0, -(h_j - h_0)]: the logits relative to level 0's
+        self._relative_matrix = self._logit_matrix - self._logit_matrix[0]
+        # from this beta up no relative logit exceeds _RELATIVE_LOGIT_CAP (h_j > h_0)
+        log_c, h = instance.log_counts, instance.energies
+        floors = (log_c[1:] - log_c[0] - _RELATIVE_LOGIT_CAP) / (h[1:] - h[0])
+        self._floor = float(floors.max(initial=-np.inf))
 
     def __repr__(self):
         tag = "exact" if self.corruption is None else (
@@ -164,10 +197,10 @@ class SamplingOracle:
         return out
 
     def _table(self, betas: np.ndarray) -> np.ndarray:
-        """Cumulative max-shifted weights, shape (levels, betas): row j sums levels 0..j.
+        """Cumulative weights, shape (levels, betas): row j sums levels 0..j.
 
-        The weights come from ``_weights``: one product for the logits, then
-        the max shift and the ``exp``.
+        The weights come from ``_weights``: one product for the logits, the
+        max shift below the floor only, and the ``exp``.
         """
         cum = self._weights(betas)
         n, width = cum.shape
@@ -182,18 +215,24 @@ class SamplingOracle:
         return cum
 
     def _weights(self, betas: np.ndarray) -> np.ndarray:
-        """exp(logits - column max), shape (levels, betas); each column's largest is 1.0.
+        """Each column's Gibbs weights up to a factor, shape (levels, betas).
 
-        The logits log c_j - beta h_j are one (levels, 2) @ (2, betas)
-        product, which may round once where log c - beta h rounds twice; at
-        this size it runs on the calling thread.  See the module docstring
-        for its cost and rounding.
+        The table's smallest beta picks the path.  From the floor up the
+        weights are exp(logits relative to level 0's), whose row 0 is 1.0 and
+        whose entries are at most e^600; below it, exp(logits - column max),
+        whose column maxima are 1.0.  The logits are one (levels, 2) @
+        (2, betas) product, which may round once where log c - beta h rounds
+        twice; at this size it runs on the calling thread.  See the module
+        docstring for the floor, the cost and the rounding.
         """
         ones_betas = np.empty((2, betas.size))
         ones_betas[0] = 1.0
         ones_betas[1] = betas
-        w = self._logit_matrix @ ones_betas
-        w -= w.max(axis=0)
+        if betas.min(initial=np.inf) >= self._floor:  # no column can overflow
+            w = self._relative_matrix @ ones_betas
+        else:
+            w = self._logit_matrix @ ones_betas
+            w -= w.max(axis=0)
         return np.exp(w, out=w)
 
     def _invert(self, cum, rng, dst, below=None, count=None) -> None:

@@ -207,6 +207,26 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == f"gibbsratio trials: error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--model", "colorings", "--graph", "g", "--colors", "1"), "kcolors must be at least 2"),
+        (("--model", "lowerbound", "--n-factors", "1"), "n_factors must be at least 2"),
+        (("--model", "lowerbound", "--m-grid", "0"), "m_grid must be at least 1"),
+        (("--model", "ising", "--graph", "g", "--beta-min", "2", "--beta-max", "1"),
+         "beta_max must exceed beta_min"),
+        (("--model", "ising", "--graph", "g", "--beta-max", "nan"),
+         "beta_min and beta_max must be finite"),
+        (("--model", "twolevel", "--beta-min", "0.1"),
+         "twolevel model fixes its own beta window; drop beta_min/beta_max"),
+    ], ids=["colors-1", "n-factors-1", "m-grid-0", "window-reversed", "window-nan", "fixed-window"])
+    def test_model_knob_out_of_range_exits_2_with_one_line(self, capsys, argv, message):
+        # checked with the config, before the graph file "g" is read
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--trials", "1", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbsratio trials: error: {message}\n"
+
     def test_schedule_knob_out_of_range_exits_2_with_one_line(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["schedule", "--m", "-1"])

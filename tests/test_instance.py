@@ -101,6 +101,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             four_cycle.energies[0] = 7.0
 
+    def test_repr(self, four_cycle):
+        assert repr(four_cycle) == "CountInstance(3 levels, h in [0, 4], betas [0, 2], n=4)"
+
+    def test_equality_with_another_type_is_not_implemented(self, four_cycle):
+        assert four_cycle.__eq__(four_cycle.support()) is NotImplemented
+        assert four_cycle != four_cycle.support()
+
 
 class TestLogPartition:
     def test_singleton(self):
@@ -360,6 +367,9 @@ class TestSchedule:
 
     def test_ell(self):
         assert Schedule([0.0, 1.0, 2.0]).ell == 2
+
+    def test_repr(self):
+        assert repr(Schedule([0.0, 0.5, 2.5])) == "Schedule(ell=2, [0 .. 2.5])"
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_rejects_non_finite_level(self, bad):

@@ -6,13 +6,14 @@ suite stays deterministic.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from gibbsratio.instance import CountInstance, singleton_instance, two_level_instance
-from gibbsratio.models import GraphSpec, enumerate_ising
+from gibbsratio.models import GraphSpec, enumerate_ising, load_graph
 from gibbsratio.oracle import CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
 
 ALPHA = 1e-3
@@ -181,23 +182,85 @@ class TestProductTable:
         # the product may round a logit once where log_counts - beta * energies
         # rounds twice; either is within an ulp or two of its largest term,
         # |log c_j| + |beta h_j|, and a weight moves by as much, relatively.
-        # So: a relative 1e-12 while the terms stay within 1,000, in proportion
-        # beyond, and 1e-300 absolute for subnormal weights
+        # A table at or above the floor is scaled by e^g, g >= 0, against the
+        # max-shifted one, so each column is compared after dividing it by its
+        # total.  So: a relative 1e-12 while the terms stay within 1,000, in
+        # proportion beyond, and 1e-300 absolute for subnormal weights
         for inst, betas in fuzzed_supports(levels, seed=levels):
             logits = inst.log_counts[:, None] - betas * inst.energies[:, None]
             ref = np.cumsum(np.exp(logits - logits.max(axis=0)), axis=0)
+            ref /= ref[-1]
             terms = np.abs(inst.log_counts)[:, None] + np.abs(betas * inst.energies[:, None])
             rtol = 1e-12 * np.maximum(1.0, terms.max(axis=0) / 1e3)
-            cum = SamplingOracle(inst)._table(betas)
-            assert cum.shape == (levels, betas.size)
-            assert (np.abs(cum - ref) <= rtol * ref + 1e-300).all()
+            oracle = SamplingOracle(inst)
+            for part in (betas >= oracle._floor, np.ones(betas.size, dtype=bool)):
+                cum = oracle._table(betas[part])
+                assert cum.shape == (levels, part.sum())
+                assert np.isfinite(cum).all()
+                cum /= cum[-1]
+                assert (np.abs(cum - ref[:, part]) <= rtol[part] * ref[:, part] + 1e-300).all()
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 23, 300])
     def test_largest_weight_is_exactly_one(self, levels):
-        # the max shift subtracts each column's largest logit from itself
+        # below the floor the max shift subtracts each column's largest logit
+        # from itself; at or above it level 0's relative logit is 0 - 0 * beta,
+        # so level 0's weight is exactly one and the largest at least one
         for inst, betas in fuzzed_supports(levels, seed=levels):
-            weights = SamplingOracle(inst)._weights(betas)
-            assert (weights.max(axis=0) == 1.0).all()
+            oracle = SamplingOracle(inst)
+            above = oracle._weights(betas[betas >= oracle._floor])
+            assert (above[0] == 1.0).all() and np.isfinite(above).all()
+            if betas.min() < oracle._floor:
+                assert (oracle._weights(betas).max(axis=0) == 1.0).all()
+
+
+class TestReferenceLine:
+    def test_floor_matches_its_closed_form(self):
+        # beta* = max_j (log c_j - log c_0 - 600) / (h_j - h_0), or -inf on one level
+        assert SamplingOracle(two_level_instance(1000.0))._floor == 1001.0 - 600.0
+        inst = CountInstance([(2.0, 1.0), (5.0, 700.0), (6.0, 0.0)], 0.0, 1.0)
+        assert SamplingOracle(inst)._floor == max(99.0 / 3.0, -601.0 / 4.0) == 33.0
+        assert SamplingOracle(singleton_instance())._floor == -math.inf
+
+    def test_wave_across_the_floor_draws_without_warnings(self):
+        # floor 401 inside the window [0, 1000.46]: a wave's table takes the
+        # max shift, and a wave above the floor the relative logits, up to 600
+        inst = two_level_instance(1000.0)
+        oracle = SamplingOracle(inst)
+        assert inst.beta_min < oracle._floor < inst.beta_max
+        rng = np.random.default_rng(27)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            across = oracle.sample_at(np.linspace(inst.beta_min, inst.beta_max, 2806), rng)
+            above = oracle.sample_many(np.linspace(oracle._floor, inst.beta_max, 40), 50, rng)
+        assert np.isin(across, inst.energies).all() and np.isin(above, inst.energies).all()
+        # P(h = 0) is below e^-600 up to the floor, and about 0.37 at beta_max
+        assert (across[:1000] == 1.0).all() and (above[0] == 1.0).all()
+        assert 0.2 < (above[-1] == 0.0).mean() < 0.6
+
+    @pytest.mark.parametrize("model", ["q8", "q64", "ising"])
+    def test_draws_match_a_column_max_replay(self, model, grid4_graph):
+        # every table of the benchmark instances lies above the floor; the
+        # replay builds each table as the product followed by the max shift
+        inst = {
+            "q8": lambda: two_level_instance(8.0),
+            "q64": lambda: two_level_instance(64.0),
+            "ising": lambda: enumerate_ising(load_graph(grid4_graph)),
+        }[model]()
+        oracle = SamplingOracle(inst)
+        assert oracle._floor < inst.beta_min
+        betas = np.random.default_rng(28).uniform(inst.beta_min, inst.beta_max, 2806)
+        at = oracle.sample_at(betas, np.random.default_rng(29))
+        many = oracle.sample_many(betas[:260], 924, np.random.default_rng(30))
+
+        def replay(b, size, rng):
+            ones_b = np.vstack((np.ones_like(b), b))
+            logits = np.column_stack((inst.log_counts, -inst.energies)) @ ones_b
+            cum = np.cumsum(np.exp(logits - logits.max(axis=0)), axis=0)
+            x = rng.random((b.size, size)) * cum[-1][:, None]
+            return inst.energies[(cum[:-1, :, None] <= x).sum(axis=0)]
+
+        np.testing.assert_array_equal(at, replay(betas, 1, np.random.default_rng(29))[:, 0])
+        np.testing.assert_array_equal(many, replay(betas[:260], 924, np.random.default_rng(30)))
 
 
 class TestKernelScratch:
@@ -288,6 +351,12 @@ class TestCallCounting:
         rng = np.random.default_rng(9)
         oracle.sample_many(0.0, 25, rng)
         assert oracle.call_count == 25
+
+    def test_repr_shows_the_mode_and_the_count(self, two_level):
+        assert repr(SamplingOracle(two_level)) == "SamplingOracle(exact, calls=0)"
+        oracle = SamplingOracle(two_level, Corruption(0.25, "adversarial_max_h"))
+        oracle.sample_many(0.0, 3, np.random.default_rng(9))
+        assert repr(oracle) == "SamplingOracle(tv=0.25,adversarial_max_h, calls=3)"
 
 
 class TestCorruption:

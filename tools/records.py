@@ -7,8 +7,11 @@ workload's config at the given master seed and trial count, serially, and
 prints the first 16 hex digits of a SHA-256 over
 ``json.dumps([r.to_dict() for r in records], sort_keys=True)``.  Records do
 not depend on the number of workers, so two checkouts that print the same
-hashes draw the same records.  The package is imported from this checkout's
-``src``; the Ising graph is written to a temporary directory.
+hashes draw the same records.  One row outside the benchmark, ``q1000``
+(twolevel q=1000, eps 0.5, always 2 trials), covers the oracle tables below
+the floor: its floor, 401, lies inside its window [0, 1000.46], where every
+benchmark workload's lies below beta_min.  The package is imported from this
+checkout's ``src``; the Ising graph is written to a temporary directory.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from workloads import WORKLOADS, experiment_config, use_checkout_source  # noqa: E402
+from workloads import WORKLOADS, Workload, experiment_config, use_checkout_source  # noqa: E402
+
+BELOW_FLOOR = Workload("q1000", {"model": "twolevel", "target_q": 1000.0, "epsilon": 0.5}, trials=2)
 
 
 def main(argv: list[str]) -> int:
@@ -34,12 +39,13 @@ def main(argv: list[str]) -> int:
     use_checkout_source()
     from gibbsratio.harness import run_trials
 
+    rows = [(workload, args.trials) for workload in WORKLOADS.values()] + [(BELOW_FLOOR, None)]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, workload in WORKLOADS.items():
-            cfg = experiment_config(workload, args.seed, Path(tmp), trials=args.trials)
+        for workload, trials in rows:
+            cfg = experiment_config(workload, args.seed, Path(tmp), trials=trials)
             records = run_trials(dataclasses.replace(cfg, workers=1)).records
             text = json.dumps([rec.to_dict() for rec in records], sort_keys=True)
-            print(f"{name:<10} {hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}")
+            print(f"{workload.name:<10} {hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}")
     return 0
 
 
