@@ -2,11 +2,13 @@
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
-print one check report and exit 0 on pass and 2 on failure; a rejected run
-setting or estimator knob, an instance outside the estimator's energy range
-(an energy inside (0, 1), under any case) or a case it does not fit (case I
-on a zero-energy level), a model too large to enumerate, or a trial over the
-work budget is a one-line usage error (exit 2), raised before the first trial.
+print one check report and exit 0 on pass and 2 on failure.  A rejected run
+setting or estimator knob, a model that cannot be built (a missing file, a
+window the model rejects, too many states to enumerate), an instance outside
+the estimator's energy range (an energy inside (0, 1), under any case) or a
+case it does not fit (case I on a zero-energy level), a trial over the work
+budget, and a ``tau`` --d or --rho out of range are one-line usage errors
+(exit 2), raised before any output.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .harness import (
 )
 from .instance import log_ratio_true, schedule_delta
 from .lowerbound import build, build_from_grid
-from .models import BudgetExceededError
 from .oracle import CORRUPTION_MODES, Corruption, SamplingOracle
 from .tpa import generate_schedule
 
@@ -108,14 +109,16 @@ def _experiment_config(args) -> ExperimentConfig:
 def _resolve(args, cfg: ExperimentConfig):
     """The run's instance and estimator config, before any trial.
 
-    An estimator knob that ``build_config`` rejects, an instance or case that
-    ``detect_case`` rejects and a trial over the work budget are usage errors (exit 2);
-    errors in building the model are not caught here.
+    A model that cannot be built (no graph or instance path, a file that
+    cannot be read, a window it rejects, too many states to enumerate), an
+    estimator knob that ``build_config`` rejects, an instance or case that
+    ``detect_case`` rejects and a trial over the work budget are usage errors
+    (exit 2).
     """
-    inst = build_model_instance(cfg)
     try:
+        inst = build_model_instance(cfg)
         return inst, resolve_estimator_config(cfg, inst)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         _usage_error(args, exc)
 
 
@@ -170,9 +173,12 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_tau(args) -> int:
+    try:  # every row before any output, so a bad --d or --rho prints nothing
+        rows = [(d, tau_rho(d, args.rho)) for d in args.d]
+    except ValueError as exc:
+        _usage_error(args, exc)
     print(f"# tau_rho at rho={args.rho:.6f}")
-    for d in args.d:
-        res = tau_rho(d, args.rho)
+    for d, res in rows:
         print(f"d={d:<6d} tau_rho={res.value:.6f} argmin_tau={res.argmin_tau:.6f}")
     return 0
 
@@ -245,10 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BudgetExceededError as exc:  # a model too large to enumerate is a usage error
-        _usage_error(args, exc)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -32,9 +32,8 @@ case "II" when a zero-energy level exists, which needs the lambda-corrected
 threshold.
 
 The trial path needs no scipy: ``paired_product`` averages with
-``instance.logsumexp``, which repeats ``scipy.special.logsumexp``'s arithmetic
-bit for bit without its fixed cost of about 0.1 ms per call.  scipy is
-imported only inside the functions that need it -- the incomplete-gamma tail
+``instance.logsumexp``, a plain max-shifted reduction without scipy's fixed
+cost of about 0.1 ms per call.  scipy is imported only inside the functions that need it -- the incomplete-gamma tail
 behind ``tau_rho`` and the Brent refinement -- which the headline config never
 calls, so ``import gibbsratio`` does not pay for ``scipy.special``.
 """

@@ -7,19 +7,14 @@ estimator) is verified against the closed forms computed here, so all sums are
 performed in the log domain with max-shifted log-sum-exp: enumerated counts
 (2^|V| states) and product-form expansions overflow linear-domain doubles.
 
-``logsumexp`` is a numpy copy of ``scipy.special.logsumexp``'s arithmetic, so
-its results are bit-identical to scipy's.  scipy 1.17 spends 100-135 us per
-call on array-API dispatch whatever the size, against 15-30 us here for up to
-924 entries; a trial makes four such calls, and importing ``scipy.special``
-took about 350 of the 500 ms of ``import gibbsratio``.
-
-``log_partition`` hands it (betas, levels) logits.  The maximum, the tie
-count and the exp run levels-first, as one whole-row operation per level,
-and so does the sum when there are at most two levels; a sum over more
-levels stays on the beta-major layout, whose order of additions is scipy's.
-Reducing the short last axis instead runs one numpy inner loop per beta:
-``schedule_delta`` on a 2,077-beta two-level schedule took 852 us that way
-and takes 218 us levels-first (timeit, min of repeats, 2-vCPU Xeon VM).
+``logsumexp`` is a plain max-shifted reduction over one axis, and each
+reduction needs a finite maximum; -inf entries under it are allowed.  It
+stays off scipy: ``scipy.special.logsumexp`` spends about 0.1 ms per call on
+array-API dispatch, and importing ``scipy.special`` took about 350 of the
+500 ms of ``import gibbsratio``.  Logits are laid out levels first, shape
+(levels,) + beta.shape, as the oracle's tables are, so a reduction over the
+levels is one whole-row operation per level; reducing a short last axis
+instead runs one numpy inner loop per beta.
 """
 
 from __future__ import annotations
@@ -219,47 +214,23 @@ class PairedMoments(NamedTuple):
     log_vrel: float
 
 
-def logsumexp(a):
-    """ln sum exp(a) over the last axis, bit for bit ``scipy.special.logsumexp(a, axis=-1)``.
+def logsumexp(a, axis=-1):
+    """ln sum exp(a) over ``axis``: max, subtract, exp, sum, log, add.
 
-    As in scipy: with ``m`` entries tied at the row maximum, the sum ``s`` of
-    exp(a - max) runs over the other entries (the tied ones set to -inf) and
-    the result is log1p(s/m) + log(m) + max; where that is not finite (an
-    infinite or nan maximum) it is ln sum exp(a) taken directly.  An empty
-    reduction gives -inf; a 1-D ``a`` gives a numpy scalar.
-
-    The maximum, the tie count and the exp are exact in any order, so they
-    run on a levels-first copy as whole-row operations.  So does the sum of at
-    most two levels, one of whose two terms is a tied maximum's exact 0.  A
-    sum over more levels is reduced along the last axis of a C-ordered array
-    laid out like ``a``, as scipy's is: reducing another layout changes the
-    order of additions.
+    Each reduction needs a finite maximum; -inf entries under it add nothing.
+    A 1-D ``a`` gives a numpy scalar.
     """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return np.full(a.shape[:-1], -np.inf)[()]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rest = np.moveaxis(a, -1, 0).copy()
-        top = rest.max(axis=0)
-        tied = rest == top
-        m = tied.sum(axis=0, dtype=float)
-        np.copyto(rest, -np.inf, where=tied)
-        rest -= top
-        np.exp(rest, out=rest)
-        if rest.ndim > 1 and rest.shape[0] > 2:  # back to the layout of a
-            s = np.moveaxis(rest, 0, -1).copy().sum(axis=-1)
-        else:
-            s = rest.sum(axis=0)
-        out = np.log1p(s / m) + np.log(m) + top
-        finite = np.isfinite(out)
-        if not finite.all():
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=-1)))
-    return out[()]
+    top = np.max(a, axis=axis)
+    terms = a - np.expand_dims(top, axis)
+    np.exp(terms, out=terms)
+    return np.log(terms.sum(axis=axis)) + top
 
 
 def _logits(inst: CountInstance, beta) -> np.ndarray:
+    """log_c - beta h, levels first: shape (levels,) + shape of ``beta``."""
     beta = np.asarray(beta, dtype=float)
-    return inst.log_counts - np.multiply.outer(beta, inst.energies)
+    log_counts = inst.log_counts.reshape((-1,) + (1,) * beta.ndim)
+    return log_counts - np.multiply.outer(inst.energies, beta)
 
 
 def log_partition(inst: CountInstance, beta):
@@ -268,7 +239,7 @@ def log_partition(inst: CountInstance, beta):
     Accepts a scalar or an array of beta values.
     """
     scalar = np.isscalar(beta) or np.ndim(beta) == 0
-    z = logsumexp(_logits(inst, beta))
+    z = logsumexp(_logits(inst, beta), axis=0)
     return float(z) if scalar else z
 
 
@@ -278,16 +249,17 @@ def log_ratio_true(inst: CountInstance) -> float:
 
 
 def _weights(inst: CountInstance, beta) -> np.ndarray:
-    logits = _logits(inst, beta)
-    logits -= logits.max(axis=-1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=-1, keepdims=True)
+    """Normalized Gibbs weights, levels first like ``_logits``."""
+    w = _logits(inst, beta)
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    return w / w.sum(axis=0)
 
 
 def mean_energy(inst: CountInstance, beta):
     """Expected energy under the Gibbs weights at ``beta`` (equals -z'(beta))."""
     scalar = np.isscalar(beta) or np.ndim(beta) == 0
-    m = _weights(inst, beta) @ inst.energies
+    m = np.tensordot(inst.energies, _weights(inst, beta), axes=1)
     return float(m) if scalar else m
 
 
@@ -295,8 +267,8 @@ def energy_variance(inst: CountInstance, beta):
     """Energy variance under the Gibbs weights at ``beta`` (equals z''(beta))."""
     scalar = np.isscalar(beta) or np.ndim(beta) == 0
     w = _weights(inst, beta)
-    m = w @ inst.energies
-    v = w @ np.square(inst.energies) - np.square(m)
+    m = np.tensordot(inst.energies, w, axes=1)
+    v = np.tensordot(np.square(inst.energies), w, axes=1) - np.square(m)
     v = np.maximum(v, 0.0)  # guard tiny negative rounding on near-degenerate weights
     return float(v) if scalar else v
 

@@ -186,9 +186,37 @@ class TestUsageErrors:
         assert captured.err.startswith("gibbsratio trials: error: ")
         assert captured.err.count("\n") == 1
 
-    def test_error_past_the_config_keeps_its_traceback(self):
-        with pytest.raises(ValueError, match="instance_path"):
-            main(["trials", "--model", "synthetic"])
+    @pytest.mark.parametrize("argv,message", [
+        (("--model", "ising", "--graph", "{c4}", "--beta-max", "-1"),
+         "beta_max must exceed beta_min"),
+        (("--model", "colorings", "--graph", "{c4}", "--beta-min", "50"),
+         "beta_max must exceed beta_min"),
+        (("--model", "ising", "--graph", "{missing}"), "No such file or directory"),
+        (("--model", "synthetic", "--instance", "{missing}"), "No such file or directory"),
+        (("--model", "synthetic",), "synthetic model needs instance_path"),
+    ], ids=["ising-window", "colorings-window", "missing-graph", "missing-instance",
+            "no-instance"])
+    def test_model_it_cannot_build_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
+        c4 = tmp_path / "c4.txt"
+        c4.write_text("0 1\n1 2\n2 3\n3 0\n")
+        paths = {"c4": c4, "missing": tmp_path / "missing"}
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--trials", "1", *(arg.format(**paths) for arg in argv)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gibbsratio trials: error: ")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_error_past_the_config_keeps_its_traceback(self, monkeypatch):
+        # a ValueError raised inside a trial is a fault, not a usage error
+        def fail(*args, **kwargs):
+            raise ValueError("inside a trial")
+
+        monkeypatch.setattr(harness, "estimate", fail)
+        with pytest.raises(ValueError, match="inside a trial"):
+            main(["trials", "--trials", "1"])
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--m", "-1", "m must be positive and finite"),
@@ -258,6 +286,20 @@ class TestTau:
         lines = out.strip().split("\n")
         assert "9.90" in lines[1]
         assert "1.53" in lines[2]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--d", "1", "0"), "d must be at least 1"),
+        (("--rho", "1.5"), "rho must lie in (0, 1)"),
+        (("--rho", "nan"), "rho must lie in (0, 1)"),
+    ], ids=["d-0", "rho-1.5", "rho-nan"])
+    def test_bad_argument_exits_2_with_one_line(self, capsys, argv, message):
+        # the row for d = 1 is computed, but nothing is printed before the error
+        with pytest.raises(SystemExit) as exc:
+            main(["tau", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gibbsratio tau: error: {message}\n"
 
 
 class TestLowerbound:

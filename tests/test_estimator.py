@@ -37,6 +37,7 @@ from gibbsratio.estimator import (
     log_upper_incomplete_gamma,
     median_boost,
     min_m,
+    minimize_on_grid,
     paired_product,
     predicted_calls,
     tau_rho,
@@ -133,6 +134,12 @@ class TestTauRho:
         rho = 75.0 / 76.0
         values = [tau_rho(d, rho).value for d in (1, 4, 16, 64)]
         assert values == sorted(values, reverse=True)
+
+
+class TestMinimizeOnGrid:
+    def test_grid_point_below_the_refinement_is_returned(self):
+        # bounded Brent stays inside its cell, so it never reaches the minimum at grid[0]
+        assert minimize_on_grid(lambda t: t, np.linspace(0.0, 1.0, 11), 1e-9) == (0.0, 0.0)
 
 
 HEADLINE_PATH_SCRIPT = """
