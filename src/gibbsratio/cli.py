@@ -2,9 +2,11 @@
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
-print one check report and exit 0 on pass and 2 on failure.  A rejected run
-setting or estimator knob, a model that cannot be built (a missing file, a
-window the model rejects, too many states to enumerate), an instance outside
+print one check report and exit 0 on pass and 2 on failure.  Each model knob
+is checked by the code that builds the model, and a knob the chosen model
+does not read is ignored.  A rejected run setting or estimator knob, a model
+that cannot be built (a missing or malformed file, a knob or window the
+model rejects, too many states to enumerate), an instance outside
 the estimator's energy range (an energy inside (0, 1), under any case) or a
 case it does not fit (case I on a zero-energy level), a trial over the work
 budget, and a ``tau`` --d or --rho out of range are one-line usage errors
@@ -110,7 +112,8 @@ def _resolve(args, cfg: ExperimentConfig):
     """The run's instance and estimator config, before any trial.
 
     A model that cannot be built (no graph or instance path, a file that
-    cannot be read, a window it rejects, too many states to enumerate), an
+    cannot be read or parsed, a knob or window its builder rejects, too many
+    states to enumerate), an
     estimator knob that ``build_config`` rejects, an instance or case that
     ``detect_case`` rejects and a trial over the work budget are usage errors
     (exit 2).

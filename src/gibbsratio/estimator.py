@@ -216,8 +216,7 @@ class EstimatorConfig:
     lam: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be positive and finite")
+        epsilon_tilde(self.epsilon)  # rejects an epsilon that is not positive and finite
         if not 0.0 < self.gamma < 0.25:
             raise ValueError("gamma must lie in (0, 0.25)")
         if self.d < 1 or self.k < 1 or self.r < 1:
@@ -287,8 +286,6 @@ def build_config(
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
-    if case not in ("I", "II"):
-        raise ValueError(f"unknown case {case!r}")
     if m is not None and not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
     d = DEFAULT_D if d is None else int(d)

@@ -92,8 +92,11 @@ TAU_TABLE = {
 class ExperimentConfig:
     """One reproducible batch: model choice, estimator knobs, seeding.
 
-    Construction rejects a knob out of range, whichever model reads it, and a
-    window override that is not finite and increasing or that the model fixes.
+    Construction rejects an unknown model, a run setting out of range and a
+    window override on a model that fixes its window.  Each model knob is
+    checked by the code that builds the model (``build_model_instance``), and
+    the case by ``detect_case``; a knob the chosen model does not read is
+    ignored.
     """
 
     model: str = "twolevel"
@@ -126,26 +129,11 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.case not in ("auto", "I", "II"):
-            raise ValueError("case must be 'auto', 'I' or 'II'")
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
         if self.boost_t is not None and (self.boost_t < 1 or self.boost_t % 2 == 0):
             raise ValueError("boost_t must be a positive odd integer")
-        if not self.target_q > 0:
-            raise ValueError("target_q must be positive")
-        if self.kcolors < 2:
-            raise ValueError("kcolors must be at least 2")
-        if self.n_factors < 2:
-            raise ValueError("n_factors must be at least 2")
-        if self.m_grid < 1:
-            raise ValueError("m_grid must be at least 1")
-        window = [b for b in (self.beta_min, self.beta_max) if b is not None]
-        if window and self.model in ("twolevel", "lowerbound"):
+        if self.model in ("twolevel", "lowerbound") and (self.beta_min, self.beta_max) != (None, None):
             raise ValueError(f"{self.model} model fixes its own beta window; drop beta_min/beta_max")
-        if not all(math.isfinite(b) for b in window):
-            raise ValueError("beta_min and beta_max must be finite")
-        if len(window) == 2 and not self.beta_max > self.beta_min:
-            raise ValueError("beta_max must exceed beta_min")
 
 
 @dataclass(slots=True)

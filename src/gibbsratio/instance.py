@@ -146,6 +146,12 @@ class CountInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountInstance":
+        """The instance of a ``to_dict`` mapping; ``n`` may be left out."""
+        if not isinstance(data, dict):
+            raise ValueError("an instance must be a JSON object")
+        for key in ("support", "beta_min", "beta_max"):
+            if key not in data:
+                raise ValueError(f"instance has no {key!r} key")
         return cls(
             [(h, lc) for h, lc in data["support"]],
             beta_min=data["beta_min"],

@@ -81,11 +81,14 @@ def load_graph(path) -> GraphSpec:
     edges = []
     max_vertex = -1
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            u, v = (int(tok) for tok in line.split())
+            try:
+                u, v = (int(tok) for tok in line.split())
+            except ValueError:
+                raise ValueError(f"{path} line {number}: expected 'u v', two vertex numbers") from None
             edges.append((u, v))
             max_vertex = max(max_vertex, u, v)
     if max_vertex < 0:

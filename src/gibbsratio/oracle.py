@@ -13,38 +13,40 @@ across the betas.  Reducing a beta-major table along its short last axis
 runs one numpy inner loop per beta: about 120 ns per two-level ``sample_at``
 draw against about 31 ns.
 
-The logits log c_j - beta h_j of a table are one matrix product: the
-handle's (levels, 2) matrix [log c, -h], built once in ``__init__``, times
-the (2, betas) matrix [1; betas].  It replaced ``np.multiply.outer`` followed
-by a broadcast subtract, two passes over the table where the product makes
-one.  With the max shift, 23 levels took 55 us against 132 us at 1,200 betas
-and 122 against 173 us at 2,806, 300 levels x 200 betas 109 against 256 us,
-and two levels were level (23 against 25 us at 2,074 betas; min of 7 timeit
-repeats).  The product's fused multiply-add may round a logit once where the
-subtract rounded twice, so an entry can move by an ulp or two of
-|log c_j| + |beta h_j|; a draw moves only where u * total lands that close to
-a table entry.  The same holds between CPUs whose BLAS kernels do and do not
-fuse.  Up to 65,536 levels a table holds at most ``CHUNK_ELEMENTS`` entries,
-so a product is at most 2 x 65,536 multiply-adds, below OpenBLAS's threshold
-for threading it: it runs on the calling thread (CPU over wall time 1.00 at
-2, 23, 64 and 300 levels, against 1.97 for a 500 x 200 x 500 product).
+The logits log c_j - beta h_j of a table are one matrix product, taken
+relative to level 0's: the handle's (levels, 2) matrix
+[log c_j - log c_0, -(h_j - h_0)], built once in ``__init__`` with row 0
+[0, 0], times the (2, betas) matrix [1; betas].  The product replaced
+``np.multiply.outer`` followed by a broadcast subtract, two passes over the
+table where the product makes one.  With the max shift, 23 levels took 55 us
+against 132 us at 1,200 betas and 122 against 173 us at 2,806, 300 levels x
+200 betas 109 against 256 us, and two levels were level (23 against 25 us at
+2,074 betas; min of 7 timeit repeats).  The product's fused multiply-add may
+round a logit once where the subtract rounded twice, so an entry can move by
+an ulp or two of |log c_j| + |beta h_j|; a draw moves only where u * total
+lands that close to a table entry.  The same holds between CPUs whose BLAS
+kernels do and do not fuse.  Up to 65,536 levels a table holds at most
+``CHUNK_ELEMENTS`` entries, so a product is at most 2 x 65,536 multiply-adds,
+below OpenBLAS's threshold for threading it: it runs on the calling thread
+(CPU over wall time 1.00 at 2, 23, 64 and 300 levels, against 1.97 for a
+500 x 200 x 500 product).
 
-A table's logits are taken relative to level 0's line where no column can
-overflow.  ``__init__`` also builds [log c_j - log c_0, -(h_j - h_0)], whose
-row 0 is [0, 0], and the floor
-beta* = max_{j >= 1} (log c_j - log c_0 - 600) / (h_j - h_0), or -inf on one
-level.  Energies are sorted and distinct, so each relative logit falls as
-beta rises and none exceeds 600 from beta* up.  A table whose smallest beta
-is at least beta* exponentiates that product as it is: level 0's weight is
-exactly 1.0, so no column underflows, and a column sums to at most
-levels x e^600, so none overflows.  Below the floor a table takes the max
-shift, each column's largest logit subtracted from it.  An unshifted weight
-is e^g times its max-shifted value, g >= 0 being the column's largest
-relative logit, so no weight that was a normal float becomes subnormal and
-no more of the ``exp``'s inputs take its slow path.  The inverse CDF does not
-depend on a column's scale, so only rounding moves, as with the product; the
-record hashes of ``tools/records.py`` did not change.  Every table of the
-benchmark workloads lies above its floor (-591 at two-level q=8, -535 at
+The floor is beta* = max_{j >= 1} (log c_j - log c_0 - 600) / (h_j - h_0),
+or -inf on one level.  Energies are sorted and distinct, so each relative
+logit falls as beta rises and none exceeds 600 from beta* up.  A table whose
+smallest beta is at least beta* exponentiates the product as it is: level
+0's weight is exactly 1.0, so no column underflows, and a column sums to at
+most levels x e^600, so none overflows.  Below the floor a table takes the
+max shift of the same product, each column's largest entry subtracted from
+it; level 0's line log c_0 - beta h_0 is one constant per column, so it
+cancels in the shift.  An unshifted weight is e^g times its max-shifted
+value, g >= 0 being the column's largest relative logit, so no weight that
+was a normal float becomes subnormal and no more of the ``exp``'s inputs take
+its slow path.  The inverse CDF does not depend on a column's scale, so only
+rounding moves, as with the product; the record hashes of
+``tools/records.py`` did not change, and draws on both sides of the floor
+match a replay of max-shifted absolute logits draw for draw.  Every table of
+the benchmark workloads lies above its floor (-591 at two-level q=8, -535 at
 q=64, -25 on the 4x4 Ising grid, all below beta_min = 0); two-level q=1000
 (floor 401) and lb64 (30.4) take both paths.  Skipping the column max and
 the subtract took the 23 x 2,806 Ising weights from 132-163 to 80-88 us
@@ -135,7 +137,7 @@ class Corruption:
 class SamplingOracle:
     """Draws energies from the Gibbs weights of a count instance."""
 
-    __slots__ = ("instance", "corruption", "_calls", "_logit_matrix", "_relative_matrix", "_floor")
+    __slots__ = ("instance", "corruption", "_calls", "_relative_matrix", "_floor")
 
     def __init__(self, instance: CountInstance, corruption: Corruption | None = None):
         if corruption is not None and corruption.tv_budget == 0.0:
@@ -143,10 +145,10 @@ class SamplingOracle:
         self.instance = instance
         self.corruption = corruption
         self._calls = 0
-        # row j is [log c_j, -h_j]: the logits at betas are this @ [1; betas]
-        self._logit_matrix = np.column_stack((instance.log_counts, -instance.energies))
-        # row j is [log c_j - log c_0, -(h_j - h_0)]: the logits relative to level 0's
-        self._relative_matrix = self._logit_matrix - self._logit_matrix[0]
+        # row j is [log c_j - log c_0, -(h_j - h_0)]: this @ [1; betas] is the
+        # logits log c_j - beta h_j relative to level 0's
+        logit_matrix = np.column_stack((instance.log_counts, -instance.energies))
+        self._relative_matrix = logit_matrix - logit_matrix[0]
         # from this beta up no relative logit exceeds _RELATIVE_LOGIT_CAP (h_j > h_0)
         log_c, h = instance.log_counts, instance.energies
         floors = (log_c[1:] - log_c[0] - _RELATIVE_LOGIT_CAP) / (h[1:] - h[0])
@@ -217,21 +219,19 @@ class SamplingOracle:
     def _weights(self, betas: np.ndarray) -> np.ndarray:
         """Each column's Gibbs weights up to a factor, shape (levels, betas).
 
-        The table's smallest beta picks the path.  From the floor up the
-        weights are exp(logits relative to level 0's), whose row 0 is 1.0 and
-        whose entries are at most e^600; below it, exp(logits - column max),
-        whose column maxima are 1.0.  The logits are one (levels, 2) @
-        (2, betas) product, which may round once where log c - beta h rounds
-        twice; at this size it runs on the calling thread.  See the module
-        docstring for the floor, the cost and the rounding.
+        The logits relative to level 0's are one (levels, 2) @ (2, betas)
+        product, which may round once where log c - beta h rounds twice; at
+        this size it runs on the calling thread.  From the floor up the
+        weights are their exp, whose row 0 is 1.0 and whose entries are at
+        most e^600; a table with a beta below it takes the column max shift
+        first, so its column maxima are 1.0.  See the module docstring for
+        the floor, the cost and the rounding.
         """
         ones_betas = np.empty((2, betas.size))
         ones_betas[0] = 1.0
         ones_betas[1] = betas
-        if betas.min(initial=np.inf) >= self._floor:  # no column can overflow
-            w = self._relative_matrix @ ones_betas
-        else:
-            w = self._logit_matrix @ ones_betas
+        w = self._relative_matrix @ ones_betas
+        if betas.min(initial=np.inf) < self._floor:  # a column could overflow
             w -= w.max(axis=0)
         return np.exp(w, out=w)
 

@@ -68,9 +68,8 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
     while active.size:
         advanced = tpa_step(oracle, active, rng)
         active = advanced[advanced <= inst.beta_max]
-        if active.size:
-            collected.append(active)
-    points = np.concatenate(collected) if collected else np.empty(0)
+        collected.append(active)  # the last wave is empty and adds nothing
+    points = np.concatenate(collected)
     points.sort()
     return TpaOutput(points=points)
 

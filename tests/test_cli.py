@@ -194,12 +194,32 @@ class TestUsageErrors:
         (("--model", "ising", "--graph", "{missing}"), "No such file or directory"),
         (("--model", "synthetic", "--instance", "{missing}"), "No such file or directory"),
         (("--model", "synthetic",), "synthetic model needs instance_path"),
+        (("--model", "colorings", "--graph", "{c4}", "--colors", "1"), "need at least two colors"),
+        (("--model", "lowerbound", "--n-factors", "1"),
+         "n_factors must be at least 2 for a positive window"),
+        (("--model", "lowerbound", "--m-grid", "0"),
+         "n_factors and m_grid must be positive integers"),
+        (("--model", "ising", "--graph", "{c4}", "--beta-min", "2", "--beta-max", "1"),
+         "beta_max must exceed beta_min"),
+        (("--model", "ising", "--graph", "{c4}", "--beta-max", "nan"),
+         "temperature bounds must be finite"),
+        (("--model", "synthetic", "--instance", "{no_support}"), "instance has no 'support' key"),
+        (("--model", "synthetic", "--instance", "{list}"), "an instance must be a JSON object"),
+        (("--model", "ising", "--graph", "{three}"), "three.txt line 2: expected 'u v'"),
+        (("--model", "ising", "--graph", "{letter}"), "letter.txt line 2: expected 'u v'"),
     ], ids=["ising-window", "colorings-window", "missing-graph", "missing-instance",
-            "no-instance"])
+            "no-instance", "colors-1", "n-factors-1", "m-grid-0", "window-reversed",
+            "window-nan", "instance-no-support", "instance-list", "graph-three-values",
+            "graph-not-a-number"])
     def test_model_it_cannot_build_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
-        c4 = tmp_path / "c4.txt"
-        c4.write_text("0 1\n1 2\n2 3\n3 0\n")
-        paths = {"c4": c4, "missing": tmp_path / "missing"}
+        files = {
+            "c4": "0 1\n1 2\n2 3\n3 0\n", "no_support": "{}", "list": "[]",
+            "three": "0 1\n0 1 2\n", "letter": "0 1\n0 x\n",
+        }
+        paths = {"missing": tmp_path / "missing"}
+        for name, text in files.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["trials", "--trials", "1", *(arg.format(**paths) for arg in argv)])
         assert exc.value.code == 2
@@ -208,6 +228,12 @@ class TestUsageErrors:
         assert captured.err.startswith("gibbsratio trials: error: ")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_knob_the_model_does_not_read_is_ignored(self, capsys):
+        # --colors is read by the colorings model only
+        code, out, _ = run_cli(capsys, "trials", "--model", "twolevel", "--colors", "1", "--trials", "1")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1
 
     def test_error_past_the_config_keeps_its_traceback(self, monkeypatch):
         # a ValueError raised inside a trial is a fault, not a usage error
@@ -236,18 +262,11 @@ class TestUsageErrors:
         assert captured.err == f"gibbsratio trials: error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
-        (("--model", "colorings", "--graph", "g", "--colors", "1"), "kcolors must be at least 2"),
-        (("--model", "lowerbound", "--n-factors", "1"), "n_factors must be at least 2"),
-        (("--model", "lowerbound", "--m-grid", "0"), "m_grid must be at least 1"),
-        (("--model", "ising", "--graph", "g", "--beta-min", "2", "--beta-max", "1"),
-         "beta_max must exceed beta_min"),
-        (("--model", "ising", "--graph", "g", "--beta-max", "nan"),
-         "beta_min and beta_max must be finite"),
         (("--model", "twolevel", "--beta-min", "0.1"),
          "twolevel model fixes its own beta window; drop beta_min/beta_max"),
-    ], ids=["colors-1", "n-factors-1", "m-grid-0", "window-reversed", "window-nan", "fixed-window"])
+    ], ids=["fixed-window"])
     def test_model_knob_out_of_range_exits_2_with_one_line(self, capsys, argv, message):
-        # checked with the config, before the graph file "g" is read
+        # checked with the config, before the model is built
         with pytest.raises(SystemExit) as exc:
             main(["trials", "--trials", "1", *argv])
         assert exc.value.code == 2

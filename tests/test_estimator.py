@@ -300,7 +300,7 @@ class TestConfig:
         for n in (0.5, 0.0, -3.0, math.nan):
             with pytest.raises(ValueError, match="n must be at least 1"):
                 build_config(0.5, n, "I")
-        with pytest.raises(ValueError, match="unknown case"):
+        with pytest.raises(ValueError, match="case must be 'I' or 'II'"):
             build_config(0.5, 10.0, "III")
 
     def test_build_config_custom_d_uses_min_rate(self):

@@ -108,11 +108,13 @@ class TestModelDispatch:
     @pytest.mark.parametrize("bad,message", [
         (dict(trials=0), "trials must be at least 1"),
         (dict(workers=0), "workers must be at least 1"),
-        (dict(case="III"), "case must be 'auto', 'I' or 'II'"),
+        (dict(case="III"), "unknown case 'III'"),
     ], ids=["trials-zero", "workers-zero", "case-unknown"])
     def test_bad_run_knobs_rejected_at_build(self, bad, message):
+        # the run settings by the config, the case by detect_case
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(**bad)
+            cfg = ExperimentConfig(**bad)
+            resolve_estimator_config(cfg, build_model_instance(cfg))
 
     @pytest.mark.parametrize("model", ["ising", "colorings", "matchings"])
     def test_graph_model_needs_graph_path(self, model):
@@ -170,6 +172,28 @@ class TestTrialRng:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("bad,message", [
+        (dict(model="colorings", kcolors=1), "need at least two colors"),
+        (dict(model="lowerbound", n_factors=1), "at least 2 for a positive window"),
+        (dict(model="lowerbound", m_grid=0), "must be positive integers"),
+        (dict(model="ising", beta_min=2.0, beta_max=1.0), "beta_max must exceed beta_min"),
+        (dict(model="ising", beta_max=math.nan), "temperature bounds must be finite"),
+        (dict(target_q=-1.0), "target_q must be positive"),
+        (dict(case="III"), "unknown case 'III'"),
+    ], ids=["colors-1", "n-factors-1", "m-grid-0", "window-reversed", "window-nan",
+            "q-negative", "case-unknown"])
+    def test_setting_a_builder_rejects_raises_before_the_first_trial(
+        self, tmp_path, monkeypatch, bad, message
+    ):
+        def no_trial(payload):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(gibbsratio.harness, "_run_one_trial", no_trial)
+        graph = tmp_path / "square.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 0\n")
+        with pytest.raises(ValueError, match=message):
+            run_trials(ExperimentConfig(graph_path=str(graph), trials=1, **bad))
+
     def test_deterministic_replay(self):
         cfg = ExperimentConfig(master_seed=5, **SMALL)
         a = run_trials(cfg)

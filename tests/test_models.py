@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -68,6 +69,13 @@ class TestGraphSpec:
         path = tmp_path / "g.txt"
         path.write_text("# no edges\n\n")
         with pytest.raises(ValueError, match="no edges found"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("line", ["0 1 2", "0 x", "0"], ids=["three-values", "not-a-number", "one-value"])
+    def test_load_graph_names_the_file_and_line_of_a_bad_edge(self, tmp_path, line):
+        path = tmp_path / "g.txt"
+        path.write_text(f"# square\n0 1\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: expected 'u v'")):
             load_graph(path)
 
     def test_load_graph(self, tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from gibbsratio.instance import CountInstance, singleton_instance, two_level_instance
+from gibbsratio.lowerbound import build_from_grid
 from gibbsratio.models import GraphSpec, enumerate_ising, load_graph
 from gibbsratio.oracle import CHUNK_ELEMENTS, CORRUPTION_MODES, Corruption, SamplingOracle
 
@@ -237,18 +238,23 @@ class TestReferenceLine:
         assert (across[:1000] == 1.0).all() and (above[0] == 1.0).all()
         assert 0.2 < (above[-1] == 0.0).mean() < 0.6
 
-    @pytest.mark.parametrize("model", ["q8", "q64", "ising"])
-    def test_draws_match_a_column_max_replay(self, model, grid4_graph):
-        # every table of the benchmark instances lies above the floor; the
-        # replay builds each table as the product followed by the max shift
+    @pytest.mark.parametrize("model,below", [
+        ("q8", 0), ("q64", 0), ("ising", 0), ("q1000", 1132), ("lb64", 987),
+    ], ids=["q8", "q64", "ising", "q1000", "lb64"])
+    def test_draws_match_a_column_max_replay(self, model, below, grid4_graph):
+        # the benchmark instances lie above the floor, q1000 and lb64 straddle
+        # it; the replay builds each table from the absolute logits, then the
+        # max shift, so the relative product must draw the same on both sides
         inst = {
             "q8": lambda: two_level_instance(8.0),
             "q64": lambda: two_level_instance(64.0),
             "ising": lambda: enumerate_ising(load_graph(grid4_graph)),
+            "q1000": lambda: two_level_instance(1000.0),
+            "lb64": lambda: build_from_grid(64, 2).expanded,
         }[model]()
         oracle = SamplingOracle(inst)
-        assert oracle._floor < inst.beta_min
         betas = np.random.default_rng(28).uniform(inst.beta_min, inst.beta_max, 2806)
+        assert (betas < oracle._floor).sum() == below
         at = oracle.sample_at(betas, np.random.default_rng(29))
         many = oracle.sample_many(betas[:260], 924, np.random.default_rng(30))
 
