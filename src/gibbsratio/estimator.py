@@ -77,6 +77,12 @@ DEFAULT_LAMBDA = math.exp(-7.0)
 HEADLINE_RATE = 3.6
 
 
+def _check_case(case) -> None:
+    """The estimator's one case rule, checked before any knob is derived from it."""
+    if case not in ("I", "II"):
+        raise ValueError("case must be 'I' or 'II'")
+
+
 def epsilon_tilde(epsilon: float) -> float:
     """Per-side relative tolerance 1 - (1+eps)^(-1/2); about eps/2 when small."""
     if not 0 < epsilon < math.inf:
@@ -174,6 +180,7 @@ def min_m(
     lam: float | None = None,
 ) -> float:
     """Smallest admissible TPA rate per unit log-ratio for the given knobs."""
+    _check_case(case)
     if not 0.0 < gamma < 0.25:
         raise ValueError("gamma must lie in (0, 0.25)")
     if n < 1:
@@ -185,18 +192,16 @@ def min_m(
     et = epsilon_tilde(epsilon)
     if case == "I":
         return tau * math.log(n) / (2.0 * good_schedule_threshold(gamma, r, et))
-    if case == "II":
-        if lam is None:
-            lam = DEFAULT_LAMBDA
-        if not 0.0 < lam < 1.0:
-            raise ValueError("lambda must lie in (0, 1)")
-        denom = good_schedule_threshold(gamma, r, et) + math.log1p(-lam)
-        if denom <= 0.0:
-            raise ValueError(
-                "infeasible parameters: (1 + gamma r eps~^2 / 2)(1 - lambda) must exceed 1"
-            )
-        return tau * (2.0 + math.log(n / lam)) / (2.0 * denom)
-    raise ValueError(f"unknown case {case!r}")
+    if lam is None:
+        lam = DEFAULT_LAMBDA
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lambda must lie in (0, 1)")
+    denom = good_schedule_threshold(gamma, r, et) + math.log1p(-lam)
+    if denom <= 0.0:
+        raise ValueError(
+            "infeasible parameters: (1 + gamma r eps~^2 / 2)(1 - lambda) must exceed 1"
+        )
+    return tau * (2.0 + math.log(n / lam)) / (2.0 * denom)
 
 
 @dataclass(frozen=True)
@@ -221,8 +226,7 @@ class EstimatorConfig:
             raise ValueError("gamma must lie in (0, 0.25)")
         if self.d < 1 or self.k < 1 or self.r < 1:
             raise ValueError("d, k, r must be positive integers")
-        if self.case not in ("I", "II"):
-            raise ValueError("case must be 'I' or 'II'")
+        _check_case(self.case)
         if self.case == "II" and not (self.lam is None or 0.0 < self.lam < 1.0):
             raise ValueError("lambda must lie in (0, 1)")
 

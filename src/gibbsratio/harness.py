@@ -270,6 +270,10 @@ def run_trials(cfg: ExperimentConfig, inst: CountInstance | None = None) -> Tria
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import; serial runs skip it
 
+        # forked workers inherit the parent's modules: numpy loads numpy.random
+        # on first use, which a worker would otherwise pay for in every batch
+        import numpy.random  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_run_one_trial, payloads, chunksize=8))
     else:

@@ -146,18 +146,25 @@ class CountInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CountInstance":
-        """The instance of a ``to_dict`` mapping; ``n`` may be left out."""
+        """The instance of a ``to_dict`` mapping; ``n`` may be left out or null.
+
+        A missing key, or a value of the wrong JSON type, is a ValueError
+        that names the key.
+        """
         if not isinstance(data, dict):
             raise ValueError("an instance must be a JSON object")
         for key in ("support", "beta_min", "beta_max"):
             if key not in data:
                 raise ValueError(f"instance has no {key!r} key")
-        return cls(
-            [(h, lc) for h, lc in data["support"]],
-            beta_min=data["beta_min"],
-            beta_max=data["beta_max"],
-            n=data.get("n"),
-        )
+        bounds = {key: data.get(key) for key in ("beta_min", "beta_max", "n")}
+        for key, value in bounds.items():
+            if not (isinstance(value, (int, float)) or (key == "n" and value is None)):
+                raise ValueError(f"instance {key!r} must be a number, got {json.dumps(value)}")
+        try:
+            support = [(float(h), float(lc)) for h, lc in data["support"]]
+        except (TypeError, ValueError):
+            raise ValueError("instance 'support' must be a list of [energy, log-count] pairs") from None
+        return cls(support, **bounds)
 
     @classmethod
     def from_counts(

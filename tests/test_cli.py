@@ -205,16 +205,22 @@ class TestUsageErrors:
          "temperature bounds must be finite"),
         (("--model", "synthetic", "--instance", "{no_support}"), "instance has no 'support' key"),
         (("--model", "synthetic", "--instance", "{list}"), "an instance must be a JSON object"),
+        (("--model", "synthetic", "--instance", "{int_support}"),
+         "instance 'support' must be a list of [energy, log-count] pairs"),
+        (("--model", "synthetic", "--instance", "{null_beta}"),
+         "instance 'beta_min' must be a number, got null"),
         (("--model", "ising", "--graph", "{three}"), "three.txt line 2: expected 'u v'"),
         (("--model", "ising", "--graph", "{letter}"), "letter.txt line 2: expected 'u v'"),
     ], ids=["ising-window", "colorings-window", "missing-graph", "missing-instance",
             "no-instance", "colors-1", "n-factors-1", "m-grid-0", "window-reversed",
-            "window-nan", "instance-no-support", "instance-list", "graph-three-values",
-            "graph-not-a-number"])
+            "window-nan", "instance-no-support", "instance-list", "instance-int-support",
+            "instance-null-beta-min", "graph-three-values", "graph-not-a-number"])
     def test_model_it_cannot_build_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         files = {
             "c4": "0 1\n1 2\n2 3\n3 0\n", "no_support": "{}", "list": "[]",
             "three": "0 1\n0 1 2\n", "letter": "0 1\n0 x\n",
+            "int_support": '{"support": 5, "beta_min": 0, "beta_max": 1}',
+            "null_beta": '{"support": [[0, 0], [1, 0]], "beta_min": null, "beta_max": 1}',
         }
         paths = {"missing": tmp_path / "missing"}
         for name, text in files.items():

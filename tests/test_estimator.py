@@ -303,6 +303,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="case must be 'I' or 'II'"):
             build_config(0.5, 10.0, "III")
 
+    @pytest.mark.parametrize("knobs", [{}, {"d": 4}], ids=["headline", "min-rate"])
+    def test_unknown_case_is_refused_before_tau_rho_runs(self, monkeypatch, knobs):
+        # a custom d takes the rate from min_m, which runs tau_rho: one rule, one message
+        def no_tau(*args):
+            raise AssertionError("tau_rho ran")
+
+        monkeypatch.setattr(gibbsratio.estimator, "tau_rho", no_tau)
+        with pytest.raises(ValueError, match="^case must be 'I' or 'II'$"):
+            build_config(0.5, 10.0, "III", **knobs)
+
     def test_build_config_custom_d_uses_min_rate(self):
         cfg = build_config(1.0, 40.0, "I", d=8, gamma=0.2, r=16)
         required = min_m(8, 0.2, 16, 1.0, 40.0, "I")

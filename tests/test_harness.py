@@ -263,6 +263,16 @@ class TestRunTrials:
             call_accounting_checks(batch)
 
 
+def fresh_interpreter(script: str, *args: str) -> list[str]:
+    """The words ``script`` prints, run by ``python -c`` on this checkout's package."""
+    src = str(Path(gibbsratio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout.split()
+
+
 SERIAL_BATCH_SCRIPT = """
 import sys
 import gibbsratio
@@ -275,12 +285,59 @@ print(len(batch.records), "concurrent.futures.process" in sys.modules)
 def test_serial_batches_never_import_the_process_pool():
     # a fresh interpreter: concurrent.futures.process costs about 20 ms to
     # import, so only run_trials with workers > 1 loads it
-    src = str(Path(gibbsratio.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", SERIAL_BATCH_SCRIPT], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout.split() == ["2", "False"]
+    assert fresh_interpreter(SERIAL_BATCH_SCRIPT) == ["2", "False"]
+
+
+LAZY_NUMPY_SCRIPT = """
+import sys
+import gibbsratio
+from gibbsratio.harness import ExperimentConfig, run_trials
+on_import = "numpy.random" in sys.modules
+batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
+print(len(batch.records), on_import, "numpy.ma" in sys.modules)
+"""
+
+
+def test_trials_never_import_numpy_ma():
+    # numpy loads numpy.random and numpy.ma on first use; importing the
+    # package loads neither, and np.unique, which loads numpy.ma, is off the
+    # trial path
+    assert fresh_interpreter(LAZY_NUMPY_SCRIPT) == ["2", "False", "False"]
+
+
+POOLED_BATCH_SCRIPT = """
+import os
+import sys
+from pathlib import Path
+from gibbsratio import harness
+
+run_one = harness._run_one_trial
+seen = set()
+
+
+def first_trial_imports(payload):
+    # each forked worker writes the modules its first trial added
+    if os.getpid() in seen:
+        return run_one(payload)
+    seen.add(os.getpid())
+    before = set(sys.modules)
+    rec = run_one(payload)
+    Path(sys.argv[1], str(os.getpid())).write_text(" ".join(sorted(set(sys.modules) - before)))
+    return rec
+
+
+harness._run_one_trial = first_trial_imports
+batch = harness.run_trials(harness.ExperimentConfig(model="twolevel", trials=16, workers=2))
+print(len(batch.records))
+"""
+
+
+def test_pooled_workers_import_nothing_in_their_first_trial(tmp_path):
+    # forked workers inherit the parent's modules, so what numpy loads on
+    # first use is loaded once in the parent, not in every worker of every batch
+    assert fresh_interpreter(POOLED_BATCH_SCRIPT, str(tmp_path)) == ["16"]
+    firsts = {path.name: path.read_text().split() for path in tmp_path.iterdir()}
+    assert firsts and firsts == dict.fromkeys(firsts, [])
 
 
 class TestWilson:

@@ -117,6 +117,8 @@ class TestExactSampling:
         pytest.param(256, False, 40, 30, id="256-levels"),
         pytest.param(257, False, 40, 30, id="257-levels"),
         pytest.param(300, False, 16, 300, id="narrow-300-levels"),
+        pytest.param(2, True, 60, 300, id="two-levels-one-slice"),
+        pytest.param(2, True, 260, 924, id="two-levels-q8-tight-ppe"),
     ])
     def test_vector_matches_row_by_row_searchsorted(self, levels, varied, rows, size):
         # 60-300 splits the rows over slices and 3-5000 splits each row, on
@@ -124,11 +126,14 @@ class TestExactSampling:
         # betas over 20 levels) takes the row adds.  256 and 257 levels sit on
         # either side of the uint8/uint16 index count, and narrow-300-levels
         # sums 16 betas over 300 levels by np.cumsum, each row in two slices.
+        # Two levels index by their one comparison row: in one table and one
+        # slice, and over the slices of q8-tight's PPE shape, 260 betas x 924.
         # Unit counts make the top level, the largest count, likely at beta < 0.
         inst = CountInstance(
             [(h, 0.1 * h * (7 - h % 5) if varied else 0.0) for h in range(levels)], 0.0, 2.0
         )
-        assert rows * size * inst.support_size > 4 * CHUNK_ELEMENTS
+        entries = rows * size * inst.support_size
+        assert entries <= CHUNK_ELEMENTS or entries > 4 * CHUNK_ELEMENTS  # one slice, or several
         betas = np.linspace(-0.5, 2.5, rows)
         oracle = SamplingOracle(inst)
         draws = oracle.sample_many(betas, size, np.random.default_rng(21))

@@ -197,15 +197,28 @@ class TestScheduleGeneration:
         sched = thin_to_schedule(points, d=3, offset=2, beta_min=0.0, beta_max=7.0)
         # sorted points indexed 1..7; offset 2 stride 3 keeps indices 2 and 5
         assert sched.to_list() == [0.0, 1.5, 4.5, 7.0]
-        # tied points (a TPA step below the float resolution of beta) merge into one level
-        ties = thin_to_schedule(
-            np.array([0.5, 0.5, 1.0]), d=1, offset=1, beta_min=0.0, beta_max=2.0
-        )
-        assert ties.to_list() == [0.0, 0.5, 1.0, 2.0]
         with pytest.raises(ValueError):
             thin_to_schedule(points, d=3, offset=0, beta_min=0.0, beta_max=7.0)
         with pytest.raises(ValueError):
             thin_to_schedule(points, d=3, offset=4, beta_min=0.0, beta_max=7.0)
+
+    @pytest.mark.parametrize("points", [
+        pytest.param([0.5, 0.5, 1.0], id="one-tie"),
+        pytest.param([0, 0, 0.5, 0.5, 0.5, 0.5, 0.5, 1, 1.5, 1.5, 1.5, 1.5, 2, 2], id="runs-above-d"),
+        pytest.param([0.25, 0.75], id="strides-keeping-none"),
+        pytest.param([], id="no-points"),
+    ])
+    def test_ties_merge_as_np_unique_merges_them(self, points):
+        # tied points (a TPA step below the float resolution of beta) merge
+        # into one level.  Over d = 1..5 the runs of five ties outlast d, and
+        # d or offset above the point count selects no point at all.
+        points = np.array(points, dtype=float)
+        for d in range(1, 6):
+            for offset in range(1, d + 1):
+                kept = np.unique(points[offset - 1 :: d])
+                ref = [0.0, *kept[(kept > 0.0) & (kept < 2.0)], 2.0]
+                assert thin_to_schedule(points, d, offset, 0.0, 2.0).to_list() == ref
+        assert thin_to_schedule(np.array([0.5, 0.5, 1.0]), 1, 1, 0.0, 2.0).to_list() == [0.0, 0.5, 1.0, 2.0]
 
     def test_points_out_of_order_raise(self):
         with pytest.raises(ValueError, match="ascending"):
