@@ -13,7 +13,6 @@ from .estimator import (
     detect_case,
     epsilon_tilde,
     estimate,
-    log_upper_incomplete_gamma,
     median_boost,
     min_m,
     paired_product,
@@ -98,7 +97,6 @@ __all__ = [
     "generate_schedule",
     "ppp_reference",
     "epsilon_tilde",
-    "log_upper_incomplete_gamma",
     "tau_rho",
     "min_m",
     "build_config",

@@ -4,13 +4,15 @@ Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
 print one check report and exit 0 on pass and 2 on failure.  Each model knob
 is checked by the code that builds the model, and a knob the chosen model
-does not read is ignored.  A rejected run setting or estimator knob, a model
-that cannot be built (a missing or malformed file, a knob or window the
-model rejects, too many states to enumerate), an instance outside
-the estimator's energy range (an energy inside (0, 1), under any case) or a
-case it does not fit (case I on a zero-energy level), a trial over the work
-budget, and a ``tau`` --d or --rho out of range are one-line usage errors
-(exit 2), raised before any output.
+does not read is ignored.  A rejected run setting or estimator knob (an
+--eps that 1 + eps rounds away, a --d or --r from 2^63, an m d that is not
+finite), a model that cannot be built (a missing or malformed file, a knob or
+window the model rejects, too many states to enumerate, a lowerbound size
+over its caps), an instance outside the estimator's energy range (an energy
+inside (0, 1), under any case) or a case it does not fit (case I on a
+zero-energy level), a trial over the work budget (the floats its TPA points
+and its TPA and PPE runs would hold), and a ``tau`` --d or --rho out of
+range are one-line usage errors (exit 2), raised before any output.
 """
 
 from __future__ import annotations

@@ -26,16 +26,20 @@ block live; the trials ran about 20% slower.
 Parameter selection follows the schedule-quality analysis: the rate m per unit
 of log-ratio has to clear a threshold built from tau_rho(d), the minimized
 trade-off between the always-incurred small-interval variance and the tail
-contribution of oversized intervals (an upper incomplete gamma term).  Two
-regimes are exposed: case "I" for instances whose energies stay in [1, n] and
-case "II" when a zero-energy level exists, which needs the lambda-corrected
-threshold.
+contribution of oversized intervals, Gamma(d+2, tau d)/((1-rho) d d!).  As
+Gamma(d+2) = (d+1)!, that tail is scipy's regularized Q(d+2, tau d) times
+(d+1)/((1-rho) d), whose cost and memory do not grow with d: on a 2-vCPU
+host the ten ``TAU_TABLE`` rows take about 3 ms, and d = 10^9 about 0.3 ms.
+Two regimes are exposed: case "I" for instances whose energies stay in
+[1, n] and case "II" when a zero-energy level exists, which needs the
+lambda-corrected threshold.
 
 The trial path needs no scipy: ``paired_product`` averages with
 ``instance.logsumexp``, a plain max-shifted reduction without scipy's fixed
-cost of about 0.1 ms per call.  scipy is imported only inside the functions that need it -- the incomplete-gamma tail
-behind ``tau_rho`` and the Brent refinement -- which the headline config never
-calls, so ``import gibbsratio`` does not pay for ``scipy.special``.
+cost of about 0.1 ms per call.  scipy is imported only inside the functions
+that need it -- the regularized gamma behind ``tau_rho`` and the Brent
+refinement -- which the headline config never calls, so ``import gibbsratio``
+does not pay for ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ __all__ = [
     "EstimateResult",
     "TauResult",
     "epsilon_tilde",
-    "log_upper_incomplete_gamma",
     "tau_rho",
     "minimize_on_grid",
     "min_m",
@@ -84,33 +87,16 @@ def _check_case(case) -> None:
 
 
 def epsilon_tilde(epsilon: float) -> float:
-    """Per-side relative tolerance 1 - (1+eps)^(-1/2); about eps/2 when small."""
+    """Per-side relative tolerance 1 - (1+eps)^(-1/2); about eps/2 when small.
+
+    An epsilon so small that 1 + epsilon rounds to 1 (at most about 1.1e-16)
+    has no tolerance in floats, and is refused.
+    """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
+    if 1.0 + epsilon == 1.0:
+        raise ValueError(f"epsilon {epsilon:g} is below float resolution: 1 + epsilon rounds to 1")
     return 1.0 - (1.0 + epsilon) ** -0.5
-
-
-def log_upper_incomplete_gamma(a: int, b: float | np.ndarray) -> float | np.ndarray:
-    """ln of Gamma(a, b) = integral_b^inf t^(a-1) e^(-t) dt for integer a >= 1.
-
-    Uses the closed form Gamma(a, b) = (a-1)! e^(-b) sum_{j<a} b^j / j!,
-    evaluated as a log-sum-exp of xlogy(j, b) - ln j!; all terms are positive
-    so there is no cancellation, and at b = 0 only the j = 0 term survives,
-    giving (a-1)!.  ``b`` may be a scalar (returns a float) or an array of
-    any shape (returns an array of that shape).
-    """
-    if a < 1 or a != int(a):
-        raise ValueError("a must be a positive integer")
-    b = np.asarray(b, dtype=float)
-    if not np.all((b >= 0) & np.isfinite(b)):
-        raise ValueError("b must be finite and non-negative")
-    from scipy import special  # local, as in minimize_on_grid
-
-    a = int(a)
-    j = np.arange(a)
-    series = logsumexp(special.xlogy(j, b[..., None]) - special.gammaln(j + 1))
-    out = special.gammaln(a) - b + series
-    return float(out) if out.ndim == 0 else out
 
 
 class TauResult(NamedTuple):
@@ -142,22 +128,21 @@ def minimize_on_grid(f, grid: np.ndarray, xatol: float) -> tuple[float, float]:
 def _tau_objective(taus, d: int, rho: float):
     from scipy import special
 
-    # vectorized over tau: one incomplete-gamma tail per grid point
-    log_tail = (
-        log_upper_incomplete_gamma(d + 2, taus * d)
-        - math.log1p(-rho) - math.log(d) - special.gammaln(d + 1)
-    )
-    return taus + np.exp(log_tail)
+    # Gamma(d+2, x) / ((1-rho) d d!) = Q(d+2, x) (d+1) / ((1-rho) d), as Gamma(d+2) = (d+1)!
+    return taus + special.gammaincc(d + 2, taus * d) * ((d + 1) / (d * (1.0 - rho)))
 
 
 def tau_rho(d: int, rho: float) -> TauResult:
     """Minimize tau + Gamma(d+2, tau*d) / ((1-rho) d d!) over tau >= 0.
 
     ``minimize_on_grid`` scans 2048 log-spaced points over [1e-3, 64] and
-    refines the best cell to 1e-9.
+    refines the best cell to 1e-9.  d must lie in [1, 2^63), as in
+    ``build_config``.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
+    if d >= 2 ** 63:
+        raise ValueError("d must be below 2^63")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     grid = np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))
@@ -189,19 +174,19 @@ def min_m(
         raise ValueError("r must be at least 1")
     rho = 0.75 / (1.0 - gamma)
     tau = tau_rho(d, rho).value
-    et = epsilon_tilde(epsilon)
-    if case == "I":
-        return tau * math.log(n) / (2.0 * good_schedule_threshold(gamma, r, et))
-    if lam is None:
-        lam = DEFAULT_LAMBDA
-    if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
-    denom = good_schedule_threshold(gamma, r, et) + math.log1p(-lam)
-    if denom <= 0.0:
+    denom = good_schedule_threshold(gamma, r, epsilon_tilde(epsilon))
+    scale = math.log(n)
+    if case == "II":
+        lam = DEFAULT_LAMBDA if lam is None else lam
+        if not 0.0 < lam < 1.0:
+            raise ValueError("lambda must lie in (0, 1)")
+        denom += math.log1p(-lam)
+        scale = 2.0 + math.log(n / lam)
+    if denom <= 0.0:  # in case I, only when gamma r eps~^2 / 2 underflows
         raise ValueError(
             "infeasible parameters: (1 + gamma r eps~^2 / 2)(1 - lambda) must exceed 1"
         )
-    return tau * (2.0 + math.log(n / lam)) / (2.0 * denom)
+    return tau * scale / (2.0 * denom)
 
 
 @dataclass(frozen=True)
@@ -286,7 +271,9 @@ def build_config(
     and 3.6 (9 + ln n) in case II; otherwise it is the minimal admissible rate
     ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
     run so degenerate fixtures with n = 1 stay runnable; the effective rate
-    m = k/d never drops below the target.  A given m must be positive and finite.
+    m = k/d never drops below the target.  A given m must be positive and
+    finite, and so must m d.  d and r, set or derived, must lie in [1, 2^63):
+    the thinning offset and the PPE's arrays are sized in int64.
     """
     if not n >= 1:
         raise ValueError("n must be at least 1")
@@ -295,6 +282,8 @@ def build_config(
     d = DEFAULT_D if d is None else int(d)
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     r = default_r(epsilon) if r is None else int(r)
+    if not (1 <= d < 2 ** 63 and 1 <= r < 2 ** 63):
+        raise ValueError(f"d and r must lie in [1, 2^63), got d = {d} and r = {r}")
     if case == "I":
         lam = None
     elif lam is None:
@@ -310,11 +299,14 @@ def build_config(
             m = HEADLINE_RATE * (math.log(n) if case == "I" else 9.0 + math.log(n))
         else:
             m = min_m(d, gamma, r, epsilon, n, case, lam)
+    runs = float(m) * d
+    if not runs < math.inf:
+        raise ValueError(f"the TPA run count m d must be finite, got m = {m:g} and d = {d}")
     return EstimatorConfig(
         epsilon=float(epsilon),
         gamma=gamma,
         d=d,
-        k=max(1, math.ceil(float(m) * d)),
+        k=max(1, math.ceil(runs)),
         r=r,
         case=case,
         lam=lam,

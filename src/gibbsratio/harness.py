@@ -40,7 +40,6 @@ from .instance import (
 )
 from .lowerbound import LowerBoundInstance, build_from_grid, curvature_sup, sensitivity
 from .models import (
-    TPA_POINT_BUDGET,
     BudgetExceededError,
     enumerate_colorings,
     enumerate_ising,
@@ -87,6 +86,23 @@ TAU_TABLE = {
     256: (1.260, 1.241),
     512: (1.184, 1.170),
 }
+
+# Most floats a trial may hold: 2 per expected TPA point, 4 per TPA run and per
+# PPE run, so 2 k q + 4 (k + r) for q = ln Z(beta_min)/Z(beta_max); 2^28 floats
+# is about 2.1 GB.  Measured peaks of RSS over the start, in floats:
+# - A TPA point is a float64 in its wave's array and again in the array the
+#   waves are concatenated into: a two-level estimate at q = 3,000 and eps = 0.1
+#   (6.22M points) peaked at 133 MB from 31 MB, 2.05 floats a point.
+# - TPA's first wave holds a beta, a draw, a uniform and a survivor for each of
+#   its k runs, whatever q is: k = 2e6 runs on a singleton window of width 1e-9
+#   peaked 60.9 MB above the start, 3.99 floats a run.
+# - The PPE holds ln W and ln V, and a block's share of each, for every one of
+#   its r runs, whatever its call count: r = 2e7 (singleton, m = 0.01) peaked at
+#   646 MB from 29 MB, 4.05 floats a run.
+# With the headline k = 2,074 and r = 60, q = 3e4 (62M points) is accepted and
+# q = 1e6 (2.1e9 points) is refused.
+WORK_BUDGET = 2 ** 28
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -202,18 +218,19 @@ def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> Esti
 
     ``detect_case`` checks ``cfg.case`` against the instance, or picks it for
     ``"auto"``, and raises a ValueError when it does not fit.  A config whose
-    trial expects more than ``TPA_POINT_BUDGET`` TPA points,
-    k ln(Z(beta_min)/Z(beta_max)), raises ``BudgetExceededError``.
+    trial would hold more than ``WORK_BUDGET`` floats, 2 k q for its expected
+    TPA points (q = ln Z(beta_min)/Z(beta_max)) and 4 (k + r) for its TPA and
+    PPE runs, raises ``BudgetExceededError``.
     """
     case = detect_case(inst, cfg.case)
     est = build_config(
         cfg.epsilon, inst.n, case, d=cfg.d, gamma=cfg.gamma, r=cfg.r, m=cfg.m, lam=cfg.lam
     )
     points = est.k * log_ratio_true(inst)
-    if points > TPA_POINT_BUDGET:
+    if 2 * points > WORK_BUDGET - 4 * (est.k + est.r):
         raise BudgetExceededError(
-            f"a trial expects k q = {points:.3g} TPA points, above the work budget "
-            f"{TPA_POINT_BUDGET} (16 B each)"
+            f"a trial expects k q = {points:.3g} TPA points, 2 floats each, and k + r = "
+            f"{est.k} + {est.r} runs, 4 floats each: over the work budget of {WORK_BUDGET} floats"
         )
     return est
 

@@ -74,9 +74,16 @@ def _expand_log_coefficients(a_coeffs: np.ndarray) -> np.ndarray:
 
 
 def build_from_grid(n_factors: int, m_grid: int) -> LowerBoundInstance:
-    """Geometric family a_k = 2^{1-k}, eta = 2^{1-N} on the grid 1 + j/m."""
+    """Geometric family a_k = 2^{1-k}, eta = 2^{1-N} on the grid 1 + j/m.
+
+    N is at most 1,023, so every a_k is a normal float (a_1023 = 2^-1022 is
+    the least), and m at most 2^52, so the grid energies 1 + j/m are distinct
+    floats; both are checked before any array is built.
+    """
     if n_factors < 1 or m_grid < 1:
         raise ValueError("n_factors and m_grid must be positive integers")
+    if n_factors > 1023 or m_grid > 2 ** 52:
+        raise ValueError("n_factors must be at most 1023 and m_grid at most 2^52")
     a = 2.0 ** (1.0 - np.arange(1, n_factors + 1, dtype=float))
     eta = 2.0 ** (1.0 - n_factors)
     beta_max = m_grid * (n_factors - 1) * math.log(2.0)
@@ -105,15 +112,20 @@ def build(q_bar: float, n: int, c2: float = 1.8) -> LowerBoundInstance:
 
     N = ceil(sqrt(2 q_bar / ln 2)) factors and grid m = ceil(c2 sqrt(q_bar)/n);
     c2 must exceed sqrt(2/ln 2) so the grid has room for all N energies.
+    Sizes over ``build_from_grid``'s caps, infinite ones included, are
+    refused before they are rounded.
     """
-    if q_bar <= 0:
+    if not q_bar > 0:
         raise ValueError("q_bar must be positive")
-    if c2 <= MIN_C2:
+    if not c2 > MIN_C2:
         raise ValueError(f"c2 must exceed {MIN_C2:.6f}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    n_factors = math.ceil(math.sqrt(2.0 * q_bar / math.log(2.0)))
-    m_grid = math.ceil(c2 * math.sqrt(q_bar) / n)
+    if not 2 <= n < 2 ** 63:
+        raise ValueError("n must be at least 2 and below 2^63")
+    n_factors = math.sqrt(2.0 * q_bar / math.log(2.0))
+    m_grid = c2 * math.sqrt(q_bar) / n
+    if not (n_factors <= 1023 and m_grid <= 2 ** 52):
+        raise ValueError(f"N = {n_factors:.4g}, m = {m_grid:.4g}: over the caps 1023 and 2^52")
+    n_factors, m_grid = math.ceil(n_factors), math.ceil(m_grid)
     if n_factors > m_grid * (n - 1):
         raise ValueError(
             f"grid capacity exceeded: N={n_factors} > m(n-1)={m_grid * (n - 1)}; increase n"

@@ -2,9 +2,7 @@
 
 Spin assignments, colorings and matchings are enumerated exhaustively with
 64-bit integer counters, then converted to log-space counts; desk-scale graphs
-only (the enumeration budget caps state spaces at 2^24).  The work budget
-caps the TPA points a trial may expect to hold; ``harness`` checks it before
-the first trial.
+only (the enumeration budget caps state spaces at 2^24).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from .instance import CountInstance
 __all__ = [
     "GraphSpec",
     "ENUMERATION_BUDGET",
-    "TPA_POINT_BUDGET",
     "BudgetExceededError",
     "enumerate_ising",
     "enumerate_colorings",
@@ -29,19 +26,6 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 2 ** 24
-
-TPA_POINT_BUDGET = 2 ** 27
-"""Most TPA points a trial may expect to hold: k q, for k runs and q = ln Z ratio.
-
-A trial's peak memory is its TPA pool.  Each point is a float64 in its wave's
-array and again in the array the waves are concatenated into, so the model is
-16 B per point, and 2^27 points is about 2.1 GB.  Measured: one two-level
-estimate at q = 3,000 and eps = 0.1 (6.22M points) peaked at 133 MB of RSS
-from a 31 MB start, 16.4 B per point.  With the headline k = 2,074, q = 3e4
-(62M points, about 1 GB) is accepted and q = 1e6 (2.1e9 points, about 33 GB)
-is refused.
-"""
-
 
 class BudgetExceededError(ValueError):
     """The requested enumeration or trial is larger than its budget."""

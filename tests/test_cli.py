@@ -1,9 +1,14 @@
 """Command-line surface checks via main(argv)."""
 
+import contextlib
+import io
 import json
+import time
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsratio import harness
 from gibbsratio.cli import _experiment_config, build_parser, main
@@ -176,14 +181,37 @@ class TestUsageErrors:
         assert captured.err.count("\n") == 1
 
     def test_trial_over_the_work_budget_exits_2_with_one_line(self, capsys, monkeypatch):
-        # k q = 8 x 3 = 24 expected TPA points against a budget of 20
-        monkeypatch.setattr(harness, "TPA_POINT_BUDGET", 20)
+        # k q = 8 x 3 = 24 expected TPA points, 48 floats, against a budget of 20
+        monkeypatch.setattr(harness, "WORK_BUDGET", 20)
         with pytest.raises(SystemExit) as exc:
             main(["trials", "--q", "3", "--eps", "1.0", "--d", "4", "--r", "6", "--m", "2"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("gibbsratio trials: error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--eps", "1e-9"), "over the work budget"),
+        (("--r", "100000000"), "over the work budget"),
+        (("--d", "1000000000"), "over the work budget"),
+        (("--eps", "1e-17"), "epsilon 1e-17 is below float resolution"),
+        (("--eps", "1e-300"), "epsilon 1e-300 is below float resolution"),
+        (("--d", str(2 ** 63)), "d and r must lie in [1, 2^63)"),
+        (("--m", "1e308"), "the TPA run count m d must be finite"),
+        (("--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"), "over the work budget"),
+    ], ids=["eps-1e-9", "r-1e8", "d-1e9", "eps-1e-17", "eps-1e-300", "d-2^63", "m-1e308",
+            "k-over-a-tiny-window"])
+    def test_knob_too_large_for_a_trial_exits_2_with_one_line_at_once(self, capsys, argv, message):
+        started = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["trials", "--trials", "1", *argv])
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gibbsratio trials: error: ")
+        assert message in captured.err
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,message", [
@@ -199,6 +227,8 @@ class TestUsageErrors:
          "n_factors must be at least 2 for a positive window"),
         (("--model", "lowerbound", "--m-grid", "0"),
          "n_factors and m_grid must be positive integers"),
+        (("--model", "lowerbound", "--n-factors", "1000000000"),
+         "n_factors must be at most 1023 and m_grid at most 2^52"),
         (("--model", "ising", "--graph", "{c4}", "--beta-min", "2", "--beta-max", "1"),
          "beta_max must exceed beta_min"),
         (("--model", "ising", "--graph", "{c4}", "--beta-max", "nan"),
@@ -212,9 +242,10 @@ class TestUsageErrors:
         (("--model", "ising", "--graph", "{three}"), "three.txt line 2: expected 'u v'"),
         (("--model", "ising", "--graph", "{letter}"), "letter.txt line 2: expected 'u v'"),
     ], ids=["ising-window", "colorings-window", "missing-graph", "missing-instance",
-            "no-instance", "colors-1", "n-factors-1", "m-grid-0", "window-reversed",
-            "window-nan", "instance-no-support", "instance-list", "instance-int-support",
-            "instance-null-beta-min", "graph-three-values", "graph-not-a-number"])
+            "no-instance", "colors-1", "n-factors-1", "m-grid-0", "n-factors-1e9",
+            "window-reversed", "window-nan", "instance-no-support", "instance-list",
+            "instance-int-support", "instance-null-beta-min", "graph-three-values",
+            "graph-not-a-number"])
     def test_model_it_cannot_build_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         files = {
             "c4": "0 1\n1 2\n2 3\n3 0\n", "no_support": "{}", "list": "[]",
@@ -385,3 +416,38 @@ class TestSuite:
         assert code == 0
         record = json.loads(out.strip())
         assert record["success"] in (True, False)
+
+
+FLOAT_TEXTS = st.one_of(
+    st.floats(-1.0, 10.0).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["5e-324", "1e-300", "1e-17", "2.3e-16", "1e-9", "0.2499", "0.9999", "1e308"]),
+)
+INT_TEXTS = st.one_of(
+    st.integers(-4, 80), st.integers(), st.sampled_from([1023, 1024, 10 ** 9, 2 ** 63, 10 ** 400])
+).map(str)
+KNOBS = {
+    "--eps": FLOAT_TEXTS, "--q": FLOAT_TEXTS, "--d": INT_TEXTS, "--r": INT_TEXTS,
+    "--m": FLOAT_TEXTS, "--gamma": FLOAT_TEXTS, "--lam": FLOAT_TEXTS,
+    "--beta-min": FLOAT_TEXTS, "--beta-max": FLOAT_TEXTS, "--tv-budget": FLOAT_TEXTS,
+    "--n-factors": INT_TEXTS, "--m-grid": INT_TEXTS,
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    model=st.sampled_from(["twolevel", "singleton", "lowerbound"]),
+    knobs=st.fixed_dictionaries({}, optional={flag: texts for flag, texts in KNOBS.items()}),
+)
+def test_numeric_knobs_run_or_exit_2_with_one_line(model, knobs):
+    # --flag=value, so argparse reads "-inf" as a value; a small budget keeps every run short
+    argv = ["trials", "--trials", "1", "--model", model]
+    argv += [f"{flag}={text}" for flag, text in knobs.items()]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "WORK_BUDGET", 4096)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 0
+        except SystemExit as exc:
+            assert exc.code == 2 and err.getvalue().count("\n") == 1, err.getvalue()

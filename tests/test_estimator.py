@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaincc, gammaln
 
 import gibbsratio
 from gibbsratio.instance import (
@@ -34,7 +34,6 @@ from gibbsratio.estimator import (
     epsilon_tilde,
     estimate,
     good_schedule_threshold,
-    log_upper_incomplete_gamma,
     median_boost,
     min_m,
     minimize_on_grid,
@@ -42,7 +41,7 @@ from gibbsratio.estimator import (
     predicted_calls,
     tau_rho,
 )
-from gibbsratio.harness import tau_checks
+from gibbsratio.harness import TAU_TABLE, tau_checks
 
 
 class TestEpsilonTilde:
@@ -68,54 +67,14 @@ class TestEpsilonTilde:
     def test_range(self, eps):
         assert 0.0 < epsilon_tilde(eps) < 1.0
 
+    @pytest.mark.parametrize("eps", [1.1e-16, 1e-17, 1e-300, 5e-324])
+    def test_rejects_an_epsilon_that_one_plus_epsilon_rounds_away(self, eps):
+        # epsilon_tilde would be exactly 0 and ceil(2 / eps~^2) a division by zero
+        with pytest.raises(ValueError, match="below float resolution"):
+            epsilon_tilde(eps)
 
-class TestLogUpperIncompleteGamma:
-    def test_at_zero_is_factorial(self):
-        assert log_upper_incomplete_gamma(5, 0.0) == pytest.approx(math.log(24.0), abs=1e-12)
-
-    def test_shape_one_is_exponential_tail(self):
-        for b in (0.1, 1.0, 50.0):
-            assert log_upper_incomplete_gamma(1, b) == pytest.approx(-b, abs=1e-12)
-
-    def test_shape_two_at_one(self):
-        assert log_upper_incomplete_gamma(2, 1.0) == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(0, 1.0)
-        with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(2, -1.0)
-
-    def test_array_input_matches_scalar(self):
-        b = np.array([[0.0, 0.1, 1.0], [50.0, 95.0, 600.0]])
-        for a in (1, 5, 66):
-            out = log_upper_incomplete_gamma(a, b)
-            assert out.shape == b.shape
-            expected = [[log_upper_incomplete_gamma(a, float(x)) for x in row] for row in b]
-            np.testing.assert_allclose(out, expected, rtol=1e-14, atol=0)
-            assert out[0, 0] == pytest.approx(math.lgamma(a), abs=1e-12)
-        with pytest.raises(ValueError):
-            log_upper_incomplete_gamma(3, np.array([1.0, -1.0]))
-
-    @pytest.mark.parametrize("a,b", [(3, 2.0), (10, 1.5), (66, 95.0), (130, 600.0), (514, 600.0), (1030, 900.0)])
-    def test_matches_regularized_library_form(self, a, b):
-        expected = math.log(gammaincc(a, b)) + float(gammaln(a))
-        assert log_upper_incomplete_gamma(a, b) == pytest.approx(expected, rel=1e-12)
-
-    def test_deep_tail_against_asymptotic_series(self):
-        # b far beyond a, where the regularized library form underflows:
-        # Gamma(a,b) = b^(a-1) e^(-b) sum_k prod_{i<k} (a-1-i)/b, summed to
-        # convergence as an independent oracle
-        a, b = 1030, 1e4
-        term = 1.0
-        total = 1.0
-        for i in range(a - 1):
-            term *= (a - 1 - i) / b
-            total += term
-            if term < 1e-20 * total:
-                break
-        expected = (a - 1) * math.log(b) - b + math.log(total)
-        assert log_upper_incomplete_gamma(a, b) == pytest.approx(expected, rel=1e-12)
+    def test_smallest_epsilons_it_takes(self):
+        assert 0.0 < epsilon_tilde(2.3e-16) < 2.3e-16
 
 
 class TestTauRho:
@@ -129,11 +88,36 @@ class TestTauRho:
             tau_rho(0, 0.5)
         with pytest.raises(ValueError):
             tau_rho(4, 1.0)
+        with pytest.raises(ValueError, match=r"d must be below 2\^63"):
+            tau_rho(2 ** 63, 0.5)
 
     def test_decreasing_in_d(self):
         rho = 75.0 / 76.0
         values = [tau_rho(d, rho).value for d in (1, 4, 16, 64)]
         assert values == sorted(values, reverse=True)
+
+    @pytest.mark.parametrize("rho,values", [
+        (0.5, [4.000999999333834, 3.0009999999980024, 2.47555679733476, 1.9918134287009401,
+               1.684892069826055, 1.4820139206464833, 1.3436556314911938, 1.2471315272267247,
+               1.178707193165066, 1.1296681561973243]),
+        (0.8, [6.222986009244658, 4.088401847979912, 2.9185232270909567, 2.243305444118367,
+               1.832916221216577, 1.5719043421366572, 1.3996902101631248, 1.2828175959689618,
+               1.2018301835379894, 1.1448591627560276]),
+        (75.0 / 76.0, [9.902725458549765, 6.0511253824733675, 3.999193608710352, 2.859625668155674,
+                       2.1968633430695834, 1.7937369545480895, 1.5386265987731638,
+                       1.371807950497158, 1.2598655237634713, 1.183249322485263]),
+    ], ids=["rho-0.5", "rho-0.8", "rho-75/76"])
+    def test_values_on_the_table_rows(self, rho, values):
+        # the log-domain series tau_rho summed before it took scipy's regularized gamma
+        got = [tau_rho(d, rho).value for d in TAU_TABLE]
+        np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
+
+    def test_memory_and_time_do_not_grow_with_d(self):
+        tau_rho(1, 75.0 / 76.0)  # scipy.special loads on the first call
+        started = time.perf_counter()
+        res = tau_rho(10 ** 9, 75.0 / 76.0)
+        assert time.perf_counter() - started < 1.0
+        assert res.value == pytest.approx(1.0, abs=1e-3)
 
 
 class TestMinimizeOnGrid:
@@ -238,6 +222,11 @@ class TestMinM:
         with pytest.raises(ValueError, match=message):
             min_m(**knobs)
 
+    def test_case_one_threshold_that_underflows_is_infeasible(self):
+        # gamma r eps~^2 / 2 rounds to 0: the rate would divide by zero
+        with pytest.raises(ValueError, match="infeasible parameters"):
+            min_m(64, 5e-324, 1, 1e-15, 10.0, "I")
+
     def test_case_two_defaults_lambda_to_e_minus_7(self):
         knobs = (64, 0.24, 8, 1.0, 10.0, "II")
         assert min_m(*knobs) == min_m(*knobs, math.exp(-7))
@@ -312,6 +301,24 @@ class TestConfig:
         monkeypatch.setattr(gibbsratio.estimator, "tau_rho", no_tau)
         with pytest.raises(ValueError, match="^case must be 'I' or 'II'$"):
             build_config(0.5, 10.0, "III", **knobs)
+
+    @pytest.mark.parametrize("knobs", [
+        dict(d=2 ** 63, m=1e-30), dict(d=10 ** 400), dict(r=10 ** 400), dict(r=2 ** 63, d=4),
+        dict(epsilon=1e-10), dict(d=0, m=1.0),
+    ], ids=["d-2^63", "d-huge", "r-huge", "r-2^63", "derived-r", "d-0"])
+    def test_d_and_r_must_fit_an_int64(self, knobs):
+        knobs = dict(epsilon=0.5, n=10.0, case="I") | knobs
+        with pytest.raises(ValueError, match=r"d and r must lie in \[1, 2\^63\)"):
+            build_config(**knobs)
+
+    def test_largest_stride_it_takes(self):
+        assert build_config(0.5, 10.0, "I", d=2 ** 63 - 1, m=1e-30).k == 1
+
+    @pytest.mark.parametrize("knobs", [dict(m=1e308, d=64), dict(d=2 ** 62, gamma=1e-300, r=1)],
+                             ids=["given-m", "min-rate"])
+    def test_run_count_m_d_must_be_finite(self, knobs):
+        with pytest.raises(ValueError, match="the TPA run count m d must be finite"):
+            build_config(2.0, 10.0, "I", **knobs)
 
     def test_build_config_custom_d_uses_min_rate(self):
         cfg = build_config(1.0, 40.0, "I", d=8, gamma=0.2, r=16)

@@ -159,6 +159,21 @@ class TestModelDispatch:
         with pytest.raises(BudgetExceededError, match="work budget"):
             resolve_estimator_config(big, build_model_instance(big))
 
+    @pytest.mark.parametrize("knobs", [
+        dict(model="singleton", r=10 ** 8),
+        dict(model="twolevel", epsilon=1e-9),
+        dict(model="singleton", beta_max=1e-12, m=1e10),
+    ], ids=["r-1e8", "eps-1e-9", "k-over-a-tiny-window"])
+    def test_work_budget_counts_the_runs_of_tpa_and_the_ppe(self, knobs):
+        # 4e8 floats for the PPE's runs; r about 8e18; k = 6.4e11 TPA runs for 0.64 points
+        cfg = ExperimentConfig(trials=1, **knobs)
+        with pytest.raises(BudgetExceededError, match="work budget"):
+            resolve_estimator_config(cfg, build_model_instance(cfg))
+
+    def test_work_budget_takes_r_5e7(self):
+        cfg = ExperimentConfig(model="singleton", r=5 * 10 ** 7, trials=1)
+        assert resolve_estimator_config(cfg, build_model_instance(cfg)).r == 5 * 10 ** 7
+
 
 class TestTrialRng:
     def test_documented_splitting_rule(self):

@@ -173,7 +173,7 @@ class TestLogSumExp:
         assert_close_to_scipy(logsumexp(a), scipy.special.logsumexp(a))
 
     def test_minus_inf_entries_under_a_finite_maximum(self):
-        # the shape of log_upper_incomplete_gamma's series at b = 0
+        # finite row maxima with -inf entries beside them: only the finite terms count
         a = np.array([[0.0, -np.inf, -np.inf], [-np.inf, 3.0, -np.inf], [0.5, -np.inf, -1.0]])
         assert logsumexp(a).tolist()[:2] == [0.0, 3.0]
         assert_close_to_scipy(logsumexp(a), scipy.special.logsumexp(a, axis=-1))

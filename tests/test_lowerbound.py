@@ -55,6 +55,20 @@ class TestExpansion:
         with pytest.raises(ValueError):
             build_from_grid(4, 0)
 
+    @pytest.mark.parametrize("n_factors,m_grid", [(1024, 2), (10 ** 9, 2), (16, 2 ** 52 + 1)],
+                             ids=["N-1024", "N-1e9", "m-2^52+1"])
+    def test_refuses_sizes_over_its_caps_before_any_array(self, n_factors, m_grid):
+        # a_N = 2^(1-N) is 0.0 from N = 1,076, and N = 1e9 would ask for 7.45 GiB
+        with pytest.raises(ValueError, match="at most 1023 and m_grid at most 2"):
+            build_from_grid(n_factors, m_grid)
+
+    def test_largest_sizes_it_takes(self):
+        lb = build_from_grid(1023, 1)
+        assert lb.a_coeffs[-1] == np.finfo(float).tiny  # the least normal float
+        assert np.isfinite(lb.expanded.log_counts).all()
+        energies = build_from_grid(16, 2 ** 52).expanded.energies
+        assert energies.size == 17  # no two grid energies merged
+
 
 class TestBuildFromTarget:
     def test_sizing_formulas(self):
@@ -82,6 +96,21 @@ class TestBuildFromTarget:
     def test_rejects_an_energy_range_below_two(self):
         with pytest.raises(ValueError, match="n must be at least 2"):
             build(85.0, 1)
+
+    @pytest.mark.parametrize("q_bar,n,c2", [
+        (1e308, 12, 1.8), (math.inf, 12, 1.8), (85.0, 12, math.inf), (85.0, 12, 1e307),
+        (4e5, 2 ** 62, 1.8),
+    ], ids=["q-1e308", "q-inf", "c2-inf", "c2-1e307", "N-over-the-cap"])
+    def test_sizes_over_the_caps_are_refused_before_rounding(self, q_bar, n, c2):
+        with pytest.raises(ValueError, match="over the caps 1023 and 2"):
+            build(q_bar, n, c2)
+
+    @pytest.mark.parametrize("q_bar,n,c2", [
+        (math.nan, 12, 1.8), (85.0, 12, math.nan), (85.0, 10 ** 400, 1.8),
+    ], ids=["q-nan", "c2-nan", "n-huge"])
+    def test_rejects_nan_and_huge_knobs(self, q_bar, n, c2):
+        with pytest.raises(ValueError, match="q_bar must be positive|c2 must exceed|below 2"):
+            build(q_bar, n, c2)
 
 
 class TestPerturbation:
