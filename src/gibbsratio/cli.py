@@ -2,17 +2,19 @@
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  Suites and lowerbound
-print one check report and exit 0 on pass and 2 on failure.  Each model knob
-is checked by the code that builds the model, and a knob the chosen model
-does not read is ignored.  A rejected run setting or estimator knob (an
---eps that 1 + eps rounds away, a --d or --r from 2^63, an m d that is not
-finite), a model that cannot be built (a missing or malformed file, a knob or
-window the model rejects, too many states to enumerate, a lowerbound size
-over its caps), an instance outside the estimator's energy range (an energy
-inside (0, 1), under any case) or a case it does not fit (case I on a
-zero-energy level), a trial over the work budget (the floats its TPA points
-and its TPA and PPE runs would hold), and a ``tau`` --d or --rho out of
-range are one-line usage errors (exit 2), raised before any output.
+print one check report and exit 0 on pass and 2 on failure.  A model,
+estimator or run flag left out takes its ``ExperimentConfig`` default, and
+the instance decides the energy-range case.  Each model knob is checked by
+the code that builds the model, and a knob the chosen model does not read is
+ignored.  A rejected run setting or estimator knob (an --eps that 1 + eps
+rounds away, a --d or --r from 2^63, an m d that is not finite), a model that
+cannot be built (a missing or malformed file, a knob or window the model
+rejects, too many states to enumerate, a lowerbound size over its caps), an
+instance outside the estimator's energy range (an energy inside (0, 1)), a
+batch over the work budget (the floats its TPA points, its TPA and PPE runs,
+its trial records and its boost repetitions would hold), and a ``tau`` --d or
+--rho out of range are one-line usage errors (exit 2), raised before any
+output.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .estimator import tau_rho
 from .harness import (
     MODELS,
     SUITES,
+    TAU_RHO,
     TAU_TABLE,
     ExperimentConfig,
     build_model_instance,
@@ -46,62 +49,52 @@ from .tpa import generate_schedule
 
 
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("model")
-    group.add_argument("--model", choices=MODELS, default="twolevel")
-    group.add_argument(
-        "--q", dest="target_q", type=float, default=8.0, help="target log ratio (twolevel)"
-    )
+    group = parser.add_argument_group("model", argument_default=argparse.SUPPRESS)
+    group.add_argument("--model", choices=MODELS)
+    group.add_argument("--q", dest="target_q", type=float, help="target log ratio (twolevel)")
     group.add_argument("--instance", dest="instance_path", help="instance JSON path (synthetic)")
-    group.add_argument(
-        "--graph", dest="graph_path", help="edge-list path (ising/colorings/matchings)"
-    )
-    group.add_argument(
-        "--colors", dest="kcolors", type=int, default=3, help="palette size (colorings)"
-    )
-    group.add_argument("--n-factors", type=int, default=16, help="product terms (lowerbound)")
-    group.add_argument("--m-grid", type=int, default=2, help="energy grid resolution (lowerbound)")
-    group.add_argument("--beta-min", type=float, default=None)
-    group.add_argument("--beta-max", type=float, default=None)
+    group.add_argument("--graph", dest="graph_path", help="edge list (ising/colorings/matchings)")
+    group.add_argument("--colors", dest="kcolors", type=int, help="palette size (colorings)")
+    group.add_argument("--n-factors", type=int, help="product terms (lowerbound)")
+    group.add_argument("--m-grid", type=int, help="energy grid resolution (lowerbound)")
+    group.add_argument("--beta-min", type=float)
+    group.add_argument("--beta-max", type=float)
 
 
 def _add_estimator_arguments(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("estimator")
-    group.add_argument(
-        "--eps", dest="epsilon", type=float, default=0.5, help="target relative accuracy"
-    )
-    group.add_argument("--case", choices=["auto", "I", "II"], default="auto")
-    group.add_argument("--d", type=int, default=None, help="thinning stride")
-    group.add_argument("--gamma", type=float, default=None)
-    group.add_argument("--r", type=int, default=None, help="estimator runs per schedule")
-    group.add_argument("--m", type=float, default=None, help="TPA rate per unit log ratio")
-    group.add_argument("--lam", type=float, default=None, help="case II correction constant")
+    group = parser.add_argument_group("estimator", argument_default=argparse.SUPPRESS)
+    group.add_argument("--eps", dest="epsilon", type=float, help="target relative accuracy")
+    group.add_argument("--d", type=int, help="thinning stride")
+    group.add_argument("--gamma", type=float)
+    group.add_argument("--r", type=int, help="estimator runs per schedule")
+    group.add_argument("--m", type=float, help="TPA rate per unit log ratio")
+    group.add_argument("--lam", type=float, help="case II correction constant")
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser, *, batch: bool, records: bool) -> None:
     """Run flags; ``batch`` adds --trials/--workers, ``records`` the trial-record flags."""
-    group = parser.add_argument_group("run")
+    group = parser.add_argument_group("run", argument_default=argparse.SUPPRESS)
     if batch:
-        group.add_argument("--trials", type=int, default=100)
-    group.add_argument("--seed", dest="master_seed", type=int, default=0, help="master seed")
-    group.add_argument("--tv-budget", type=float, default=0.0)
-    group.add_argument("--corruption-mode", choices=CORRUPTION_MODES, default="uniform")
+        group.add_argument("--trials", type=int)
+    group.add_argument("--seed", dest="master_seed", type=int, help="master seed")
+    group.add_argument("--tv-budget", type=float)
+    group.add_argument("--corruption-mode", choices=CORRUPTION_MODES)
     if records:
-        group.add_argument(
-            "--boost", dest="boost_t", type=int, default=None, help="odd median-boost factor"
-        )
+        group.add_argument("--boost", dest="boost_t", type=int, help="odd median-boost factor")
     if batch:
-        group.add_argument("--workers", type=int, default=1)
+        group.add_argument("--workers", type=int)
     group.add_argument("--out", default=None, help="record output path (default stdout)")
     if records:
         group.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
-        group.add_argument("--timing", action="store_true", help="include wall_time in records")
+        group.add_argument("--timing", action="store_true", default=False, help="add wall_time")
 
 
 def _experiment_config(args) -> ExperimentConfig:
     """The run's config, read from the flags named after its fields.
 
-    A field without a flag on this subcommand keeps its default; a setting
-    the config rejects is a usage error (exit 2).
+    A field whose flag was left out, or that has no flag on this subcommand,
+    keeps its ``ExperimentConfig`` default; a setting the config rejects is a
+    usage error (exit 2).
     """
     names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
     try:
@@ -111,14 +104,13 @@ def _experiment_config(args) -> ExperimentConfig:
 
 
 def _resolve(args, cfg: ExperimentConfig):
-    """The run's instance and estimator config, before any trial.
+    """The run's instance and estimator config, built once before any trial.
 
     A model that cannot be built (no graph or instance path, a file that
     cannot be read or parsed, a knob or window its builder rejects, too many
-    states to enumerate), an
-    estimator knob that ``build_config`` rejects, an instance or case that
-    ``detect_case`` rejects and a trial over the work budget are usage errors
-    (exit 2).
+    states to enumerate), an estimator knob that ``build_config`` rejects, an
+    instance that ``detect_case`` rejects and a batch over the work budget are
+    usage errors (exit 2).
     """
     try:
         inst = build_model_instance(cfg)
@@ -142,8 +134,7 @@ def _open_out(args):
 def _cmd_trials(args) -> int:
     cfg = _experiment_config(args)
     started = time.perf_counter()
-    inst, _ = _resolve(args, cfg)
-    batch = run_trials(cfg, inst)
+    batch = run_trials(cfg, _resolve(args, cfg))
     elapsed = time.perf_counter() - started
     with _open_out(args) as stream:
         write_records(batch.records, stream, fmt=args.format, include_timing=args.timing)
@@ -236,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tau = sub.add_parser("tau", help="print schedule-quality constants")
     p_tau.add_argument("--d", type=int, nargs="+", default=list(TAU_TABLE))
-    p_tau.add_argument("--rho", type=float, default=75.0 / 76.0)
+    p_tau.add_argument("--rho", type=float, default=TAU_RHO)
     p_tau.set_defaults(func=_cmd_tau)
 
     p_lb = sub.add_parser("lowerbound", help="build and verify an adversarial instance")
-    p_lb.add_argument("--n-factors", type=int, default=16)
-    p_lb.add_argument("--m-grid", type=int, default=2)
+    p_lb.add_argument("--n-factors", type=int, default=ExperimentConfig.n_factors)
+    p_lb.add_argument("--m-grid", type=int, default=ExperimentConfig.m_grid)
     p_lb.add_argument("--q-bar", type=float, default=None, help="size from a target log ratio")
     p_lb.add_argument("--n", type=int, default=12, help="energy range cap (with --q-bar)")
     p_lb.add_argument("--c2", type=float, default=1.8, help="grid coefficient (with --q-bar)")

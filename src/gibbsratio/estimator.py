@@ -135,9 +135,10 @@ def _tau_objective(taus, d: int, rho: float):
 def tau_rho(d: int, rho: float) -> TauResult:
     """Minimize tau + Gamma(d+2, tau*d) / ((1-rho) d d!) over tau >= 0.
 
-    ``minimize_on_grid`` scans 2048 log-spaced points over [1e-3, 64] and
-    refines the best cell to 1e-9.  d must lie in [1, 2^63), as in
-    ``build_config``.
+    ``minimize_on_grid`` scans tau = 0 and 2048 log-spaced points over
+    [1e-3, 64] and refines the best cell to 1e-9; at small d and rho the
+    minimum lies at tau = 0, where tau_rho(1, 0.5) = 4.  d must lie in
+    [1, 2^63), as in ``build_config``.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -145,7 +146,7 @@ def tau_rho(d: int, rho: float) -> TauResult:
         raise ValueError("d must be below 2^63")
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
-    grid = np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))
+    grid = np.concatenate(([0.0], np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))))
     tau, value = minimize_on_grid(lambda t: _tau_objective(t, d, rho), grid, xatol=1e-9)
     return TauResult(value=value, argmin_tau=tau)
 

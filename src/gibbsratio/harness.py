@@ -57,6 +57,7 @@ __all__ = [
     "SuiteReport",
     "MODELS",
     "SUITES",
+    "TAU_RHO",
     "TAU_TABLE",
     "build_model_instance",
     "run_trials",
@@ -73,7 +74,8 @@ __all__ = [
 
 MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings", "lowerbound")
 
-# d -> (tau_rho(d, 75/76), argmin tau) as tabulated for the schedule-quality bound
+# the rho of the tabulated schedule-quality bound, and d -> (tau_rho(d, TAU_RHO), argmin tau)
+TAU_RHO = 75.0 / 76.0
 TAU_TABLE = {
     1: (9.903, 8.645),
     2: (6.052, 5.384),
@@ -87,9 +89,11 @@ TAU_TABLE = {
     512: (1.184, 1.170),
 }
 
-# Most floats a trial may hold: 2 per expected TPA point, 4 per TPA run and per
-# PPE run, so 2 k q + 4 (k + r) for q = ln Z(beta_min)/Z(beta_max); 2^28 floats
-# is about 2.1 GB.  Measured peaks of RSS over the start, in floats:
+# Most floats a batch may hold: 2 per expected TPA point, 4 per TPA run and per
+# PPE run, 46 per trial, and in a boosted trial 170 + m q per repetition, so
+# 2 k q + 4 (k + r) + 46 trials + t (170 + m q) for q = ln Z(beta_min)/Z(beta_max)
+# and boost t; 2^28 floats is about 2.1 GB.  Measured peaks of RSS over the
+# start, or tracemalloc's count where noted, in floats:
 # - A TPA point is a float64 in its wave's array and again in the array the
 #   waves are concatenated into: a two-level estimate at q = 3,000 and eps = 0.1
 #   (6.22M points) peaked at 133 MB from 31 MB, 2.05 floats a point.
@@ -99,8 +103,13 @@ TAU_TABLE = {
 # - The PPE holds ln W and ln V, and a block's share of each, for every one of
 #   its r runs, whatever its call count: r = 2e7 (singleton, m = 0.01) peaked at
 #   646 MB from 29 MB, 4.05 floats a run.
+# - Each trial keeps its record (250 B over 1,000 two-level q = 2 trials, by
+#   tracemalloc) and its payload (116 B): 46 floats.
+# - A boosted trial spawns t child generators (833 B, 105 floats, each by
+#   tracemalloc) and keeps t results, each at most 63 floats next to its
+#   m q + 2 schedule levels (201 two-level repetitions at q = 2 and q = 8).
 # With the headline k = 2,074 and r = 60, q = 3e4 (62M points) is accepted and
-# q = 1e6 (2.1e9 points) is refused.
+# q = 1e6 (2.1e9 points) is refused, and so are 1e9 trials and a boost of 1e8.
 WORK_BUDGET = 2 ** 28
 
 
@@ -108,11 +117,11 @@ WORK_BUDGET = 2 ** 28
 class ExperimentConfig:
     """One reproducible batch: model choice, estimator knobs, seeding.
 
-    Construction rejects an unknown model, a run setting out of range and a
-    window override on a model that fixes its window.  Each model knob is
-    checked by the code that builds the model (``build_model_instance``), and
-    the case by ``detect_case``; a knob the chosen model does not read is
-    ignored.
+    Its defaults are the run defaults of the CLI too.  Construction rejects an
+    unknown model, a run setting out of range and a window override on a model
+    that fixes its window.  Each model knob is checked by the code that builds
+    the model (``build_model_instance``); a knob the chosen model does not read
+    is ignored.  The energy-range case is no knob: the instance decides it.
     """
 
     model: str = "twolevel"
@@ -125,7 +134,6 @@ class ExperimentConfig:
     beta_min: float | None = None     # optional window override
     beta_max: float | None = None
     epsilon: float = 0.5
-    case: str = "auto"
     d: int | None = None
     gamma: float | None = None
     r: int | None = None
@@ -214,23 +222,27 @@ def build_model_instance(cfg: ExperimentConfig) -> CountInstance:
 
 
 def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> EstimatorConfig:
-    """The estimator config of ``cfg`` on ``inst``, checked against the instance.
+    """The estimator config of ``cfg`` on ``inst``, in the case ``inst`` fits.
 
-    ``detect_case`` checks ``cfg.case`` against the instance, or picks it for
-    ``"auto"``, and raises a ValueError when it does not fit.  A config whose
-    trial would hold more than ``WORK_BUDGET`` floats, 2 k q for its expected
-    TPA points (q = ln Z(beta_min)/Z(beta_max)) and 4 (k + r) for its TPA and
-    PPE runs, raises ``BudgetExceededError``.
+    ``detect_case`` picks the case, and raises a ValueError for an energy
+    inside (0, 1).  A batch that would hold more than ``WORK_BUDGET`` floats
+    raises ``BudgetExceededError``: 2 k q for a trial's expected TPA points
+    (q = ln Z(beta_min)/Z(beta_max)), 4 (k + r) for its TPA and PPE runs, 46
+    for each trial's record, and with boost t, t (170 + m q) for the kept
+    repetitions.
     """
-    case = detect_case(inst, cfg.case)
+    case = detect_case(inst)
     est = build_config(
         cfg.epsilon, inst.n, case, d=cfg.d, gamma=cfg.gamma, r=cfg.r, m=cfg.m, lam=cfg.lam
     )
-    points = est.k * log_ratio_true(inst)
-    if 2 * points > WORK_BUDGET - 4 * (est.k + est.r):
+    q = log_ratio_true(inst)
+    boost = (cfg.boost_t or 0) * (170 + est.m * q)
+    floats = 2 * est.k * q + 4 * (est.k + est.r) + 46 * cfg.trials + boost
+    if floats > WORK_BUDGET:
         raise BudgetExceededError(
-            f"a trial expects k q = {points:.3g} TPA points, 2 floats each, and k + r = "
-            f"{est.k} + {est.r} runs, 4 floats each: over the work budget of {WORK_BUDGET} floats"
+            f"a batch would hold 2 k q + 4 (k + r) + 46 trials + t (170 + m q) = {floats:.3g} "
+            f"floats at k = {est.k}, q = {q:.3g}, r = {est.r}, m = {est.m:.3g}, trials = "
+            f"{cfg.trials} and t = {cfg.boost_t or 0}: over the work budget of {WORK_BUDGET}"
         )
     return est
 
@@ -274,14 +286,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def run_trials(cfg: ExperimentConfig, inst: CountInstance | None = None) -> TrialBatch:
+def run_trials(cfg: ExperimentConfig, resolved: tuple | None = None) -> TrialBatch:
     """Run the batch and aggregate; records are ordered by trial index.
 
-    ``inst`` is ``build_model_instance(cfg)`` when a caller has built it already.
+    ``resolved`` is the pair ``(inst, est_cfg)`` of ``inst =
+    build_model_instance(cfg)`` and ``est_cfg = resolve_estimator_config(cfg,
+    inst)`` when a caller has built it already; otherwise it is built here.
     """
-    if inst is None:
+    if resolved is None:
         inst = build_model_instance(cfg)
-    est_cfg = resolve_estimator_config(cfg, inst)
+        resolved = inst, resolve_estimator_config(cfg, inst)
+    inst, est_cfg = resolved
     q_true = log_ratio_true(inst)
     payloads = [(inst, est_cfg, cfg, index, q_true) for index in range(cfg.trials)]
     if cfg.workers > 1:
@@ -396,9 +411,9 @@ class SuiteReport:
 
 
 def tau_checks(d: int) -> list[SuiteCheck]:
-    """``tau_rho(d, 75/76)`` and its argmin against the ``TAU_TABLE`` row for d."""
+    """``tau_rho(d, TAU_RHO)`` and its argmin against the ``TAU_TABLE`` row for d."""
     bound, argmin = TAU_TABLE[d]
-    res = tau_rho(d, 75.0 / 76.0)
+    res = tau_rho(d, TAU_RHO)
     return [
         _check(
             f"tau_rho({d})", res.value, bound, "within [-5e-3, +1e-3]",

@@ -94,7 +94,7 @@ class TestConfigFlags:
         args = build_parser().parse_args([
             "trials", "--model", "colorings", "--q", "3.5", "--instance", "inst.json",
             "--graph", "graph.txt", "--colors", "4", "--n-factors", "8", "--m-grid", "3",
-            "--beta-min", "0.1", "--beta-max", "2.5", "--eps", "0.25", "--case", "II",
+            "--beta-min", "0.1", "--beta-max", "2.5", "--eps", "0.25",
             "--d", "8", "--gamma", "0.3", "--r", "11", "--m", "2.5", "--lam", "0.7",
             "--trials", "7", "--seed", "9", "--tv-budget", "0.05",
             "--corruption-mode", "adversarial_min_h", "--boost", "3", "--workers", "2",
@@ -102,12 +102,22 @@ class TestConfigFlags:
         expected = ExperimentConfig(
             model="colorings", target_q=3.5, instance_path="inst.json", graph_path="graph.txt",
             kcolors=4, n_factors=8, m_grid=3, beta_min=0.1, beta_max=2.5, epsilon=0.25,
-            case="II", d=8, gamma=0.3, r=11, m=2.5, lam=0.7, trials=7, master_seed=9,
+            d=8, gamma=0.3, r=11, m=2.5, lam=0.7, trials=7, master_seed=9,
             tv_budget=0.05, corruption_mode="adversarial_min_h", boost_t=3, workers=2,
         )
         # every field is off its default, so a flag that misses its field shows
         assert all(getattr(expected, f.name) != f.default for f in fields(ExperimentConfig))
         assert _experiment_config(args) == expected
+
+    @pytest.mark.parametrize("command", ["estimate", "trials", "schedule"])
+    def test_left_out_flags_take_the_config_defaults(self, command):
+        # no flag states a default of its own: estimate sets trials=1, nothing else
+        args = build_parser().parse_args([command])
+        names = [f.name for f in fields(ExperimentConfig) if hasattr(args, f.name)]
+        given = {name: getattr(args, name) for name in names}
+        runs_one = {"trials": 1} if command == "estimate" else {}
+        assert given == runs_one
+        assert _experiment_config(args) == ExperimentConfig(**runs_one)
 
 
 class TestUsageErrors:
@@ -149,31 +159,14 @@ class TestUsageErrors:
             "above the enumeration budget 16777216\n"
         )
 
-    @pytest.mark.parametrize("command", ["trials", "estimate", "schedule"])
-    def test_case_the_instance_does_not_fit_exits_2_with_one_line(self, capsys, command):
-        # the default two-level model has a zero-energy level, so case I cannot apply
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--case", "I"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"gibbsratio {command}: error: case I does not apply: "
-            "zero-energy level present; use case II or auto\n"
-        )
-
-    @pytest.mark.parametrize("case", ["auto", "I", "II"])
     @pytest.mark.parametrize("energies", [(0.5, 2.0), (0.0, 0.5, 2.0)], ids=["0.5-2", "0-0.5-2"])
     def test_energy_inside_the_unit_interval_exits_2_under_any_case(
-        self, tmp_path, capsys, energies, case
+        self, tmp_path, capsys, energies
     ):
         path = tmp_path / "inst.json"
         save_instance(CountInstance([(h, 0.0) for h in energies], 0.0, 1.0), path)
         with pytest.raises(SystemExit) as exc:
-            main([
-                "trials", "--model", "synthetic", "--instance", str(path), "--case", case,
-                "--trials", "2",
-            ])
+            main(["trials", "--model", "synthetic", "--instance", str(path), "--trials", "2"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -200,8 +193,10 @@ class TestUsageErrors:
         (("--d", str(2 ** 63)), "d and r must lie in [1, 2^63)"),
         (("--m", "1e308"), "the TPA run count m d must be finite"),
         (("--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"), "over the work budget"),
+        (("--trials", "1000000000"), "over the work budget"),
+        (("--boost", "100000001"), "over the work budget"),
     ], ids=["eps-1e-9", "r-1e8", "d-1e9", "eps-1e-17", "eps-1e-300", "d-2^63", "m-1e308",
-            "k-over-a-tiny-window"])
+            "k-over-a-tiny-window", "trials-1e9", "boost-1e8"])
     def test_knob_too_large_for_a_trial_exits_2_with_one_line_at_once(self, capsys, argv, message):
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:

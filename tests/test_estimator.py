@@ -97,7 +97,7 @@ class TestTauRho:
         assert values == sorted(values, reverse=True)
 
     @pytest.mark.parametrize("rho,values", [
-        (0.5, [4.000999999333834, 3.0009999999980024, 2.47555679733476, 1.9918134287009401,
+        (0.5, [4.0, 3.0, 2.47555679733476, 1.9918134287009401,
                1.684892069826055, 1.4820139206464833, 1.3436556314911938, 1.2471315272267247,
                1.178707193165066, 1.1296681561973243]),
         (0.8, [6.222986009244658, 4.088401847979912, 2.9185232270909567, 2.243305444118367,
@@ -108,7 +108,8 @@ class TestTauRho:
                        1.371807950497158, 1.2598655237634713, 1.183249322485263]),
     ], ids=["rho-0.5", "rho-0.8", "rho-75/76"])
     def test_values_on_the_table_rows(self, rho, values):
-        # the log-domain series tau_rho summed before it took scipy's regularized gamma
+        # the log-domain series tau_rho summed before it took scipy's regularized gamma; at
+        # rho 0.5, d = 1 and 2 take the closed form (d + 1)/(d (1 - rho)) of their tau = 0 minimum
         got = [tau_rho(d, rho).value for d in TAU_TABLE]
         np.testing.assert_allclose(got, values, rtol=1e-12, atol=0)
 
@@ -124,6 +125,8 @@ class TestMinimizeOnGrid:
     def test_grid_point_below_the_refinement_is_returned(self):
         # bounded Brent stays inside its cell, so it never reaches the minimum at grid[0]
         assert minimize_on_grid(lambda t: t, np.linspace(0.0, 1.0, 11), 1e-9) == (0.0, 0.0)
+        # tau_rho's grid starts at tau = 0, where tau + 4 Q(3, tau) has its infimum 4
+        assert tau_rho(1, 0.5) == (4.0, 0.0)
 
 
 HEADLINE_PATH_SCRIPT = """

@@ -108,13 +108,10 @@ class TestModelDispatch:
     @pytest.mark.parametrize("bad,message", [
         (dict(trials=0), "trials must be at least 1"),
         (dict(workers=0), "workers must be at least 1"),
-        (dict(case="III"), "unknown case 'III'"),
-    ], ids=["trials-zero", "workers-zero", "case-unknown"])
+    ], ids=["trials-zero", "workers-zero"])
     def test_bad_run_knobs_rejected_at_build(self, bad, message):
-        # the run settings by the config, the case by detect_case
         with pytest.raises(ValueError, match=message):
-            cfg = ExperimentConfig(**bad)
-            resolve_estimator_config(cfg, build_model_instance(cfg))
+            ExperimentConfig(**bad)
 
     @pytest.mark.parametrize("model", ["ising", "colorings", "matchings"])
     def test_graph_model_needs_graph_path(self, model):
@@ -140,16 +137,10 @@ class TestModelDispatch:
             ExperimentConfig(**bad)
 
     def test_case_resolution(self):
-        cfg = ExperimentConfig(model="twolevel", target_q=2.0, trials=1)
-        inst = build_model_instance(cfg)
-        assert resolve_estimator_config(cfg, inst).case == "II"
-        forced = ExperimentConfig(model="singleton", case="I", trials=1)
-        assert resolve_estimator_config(forced, build_model_instance(forced)).case == "I"
-
-    def test_forced_case_one_on_a_zero_level_is_rejected(self):
-        cfg = ExperimentConfig(model="twolevel", target_q=2.0, case="I", trials=1)
-        with pytest.raises(ValueError, match="zero-energy level present"):
-            resolve_estimator_config(cfg, build_model_instance(cfg))
+        # the instance picks the case: II with a zero-energy level, I without
+        for model, case in (("twolevel", "II"), ("singleton", "I")):
+            cfg = ExperimentConfig(model=model, trials=1)
+            assert resolve_estimator_config(cfg, build_model_instance(cfg)).case == case
 
     def test_work_budget_takes_q_3e4_and_refuses_q_1e6(self):
         # headline k = 2,074: about 6.2e7 expected TPA points against 2.1e9
@@ -194,9 +185,8 @@ class TestRunTrials:
         (dict(model="ising", beta_min=2.0, beta_max=1.0), "beta_max must exceed beta_min"),
         (dict(model="ising", beta_max=math.nan), "temperature bounds must be finite"),
         (dict(target_q=-1.0), "target_q must be positive"),
-        (dict(case="III"), "unknown case 'III'"),
     ], ids=["colors-1", "n-factors-1", "m-grid-0", "window-reversed", "window-nan",
-            "q-negative", "case-unknown"])
+            "q-negative"])
     def test_setting_a_builder_rejects_raises_before_the_first_trial(
         self, tmp_path, monkeypatch, bad, message
     ):

@@ -12,13 +12,20 @@ hashes draw the same records.  One row outside the benchmark, ``q1000``
 the floor: its floor, 401, lies inside its window [0, 1000.46], where every
 benchmark workload's lies below beta_min.  The package is imported from this
 checkout's ``src``; the Ising graph is written to a temporary directory.
+
+A second column hashes the same config run through the command line,
+``main(["trials", ...])``, from the ndjson it writes; it must equal the first.
+Each config field that is set is passed by the ``trials`` flag whose dest is
+that field (floats as ``repr``), so a field with no flag stops the tool.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -29,6 +36,36 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, Workload, experiment_config, use_checkout_source  # noqa: E402
 
 BELOW_FLOOR = Workload("q1000", {"model": "twolevel", "target_q": 1000.0, "epsilon": 0.5}, trials=2)
+
+
+def _digest(dicts: list[dict]) -> str:
+    text = json.dumps(dicts, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _trials_flags(cfg) -> list[str]:
+    """The ``trials`` flags that give ``cfg``, one per field that is set."""
+    from gibbsratio.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings[0] for a in commands.choices["trials"]._actions}
+    argv = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if value is None:
+            continue
+        if field.name not in flags:
+            raise SystemExit(f"records: the trials command has no flag for {field.name}")
+        argv += [flags[field.name], repr(value) if isinstance(value, float) else str(value)]
+    return argv
+
+
+def _cli_records(cfg, out: Path) -> list[dict]:
+    from gibbsratio.cli import main
+
+    with contextlib.redirect_stderr(io.StringIO()):
+        main(["trials", *_trials_flags(cfg), "--out", str(out)])
+    return [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
 
 
 def main(argv: list[str]) -> int:
@@ -43,9 +80,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for workload, trials in rows:
             cfg = experiment_config(workload, args.seed, Path(tmp), trials=trials)
-            records = run_trials(dataclasses.replace(cfg, workers=1)).records
-            text = json.dumps([rec.to_dict() for rec in records], sort_keys=True)
-            print(f"{workload.name:<10} {hashlib.sha256(text.encode('utf-8')).hexdigest()[:16]}")
+            cfg = dataclasses.replace(cfg, workers=1)
+            api = _digest([rec.to_dict() for rec in run_trials(cfg).records])
+            cli = _digest(_cli_records(cfg, Path(tmp) / "records.ndjson"))
+            print(f"{workload.name:<10} {api} {cli}")
     return 0
 
 
