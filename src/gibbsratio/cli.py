@@ -14,7 +14,10 @@ instance outside the estimator's energy range (an energy inside (0, 1)), a
 batch over the work budget (the floats its TPA points, its TPA and PPE runs,
 its trial records and its boost repetitions would hold), and a ``tau`` --d or
 --rho out of range are one-line usage errors (exit 2), raised before any
-output.
+output.  So are a negative --seed, an --out that cannot be opened for
+writing and a --workers whose processes, min(--workers, --trials), would
+take the batch over the work budget; each is caught before the first trial
+and before any worker process starts.
 """
 
 from __future__ import annotations
@@ -125,18 +128,27 @@ def _usage_error(args, exc: Exception) -> NoReturn:
 
 
 def _open_out(args):
-    """The --out file opened for writing, or stdout, which the ``with`` leaves open."""
+    """The --out file opened for writing, or stdout, which the ``with`` leaves open.
+
+    Commands open it before their first trial, so a path that cannot be
+    written is a usage error (exit 2) before any work.
+    """
     if args.out is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(args.out, "w", encoding="utf-8")
+    try:
+        return open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        _usage_error(args, exc)
 
 
 def _cmd_trials(args) -> int:
     cfg = _experiment_config(args)
     started = time.perf_counter()
-    batch = run_trials(cfg, _resolve(args, cfg))
+    resolved = _resolve(args, cfg)
+    out = _open_out(args)
+    batch = run_trials(cfg, resolved)
     elapsed = time.perf_counter() - started
-    with _open_out(args) as stream:
+    with out as stream:
         write_records(batch.records, stream, fmt=args.format, include_timing=args.timing)
     print(json.dumps(batch.summary, indent=2), file=sys.stderr)
     print(f"# elapsed {elapsed:.2f}s", file=sys.stderr)
@@ -146,6 +158,7 @@ def _cmd_trials(args) -> int:
 def _cmd_schedule(args) -> int:
     cfg = _experiment_config(args)
     inst, est_cfg = _resolve(args, cfg)
+    out = _open_out(args)
     rng = trial_rng(cfg.master_seed, 0)
     oracle = SamplingOracle(inst, Corruption(cfg.tv_budget, cfg.corruption_mode))
     sched, _ = generate_schedule(oracle, est_cfg.k, est_cfg.d, rng)
@@ -162,7 +175,7 @@ def _cmd_schedule(args) -> int:
         "per_interval_delta": per_interval.tolist(),
         "betas": sched.to_list(),
     }
-    with _open_out(args) as stream:
+    with out as stream:
         json.dump(payload, stream, indent=2)
         stream.write("\n")
     return 0

@@ -8,7 +8,7 @@ log-mean-exp of the per-run log values -- W spans hundreds of e-folds on
 large-ratio instances and must never be materialized in linear space.
 
 ``paired_product`` draws the levels in consecutive blocks of
-max(1, CHUNK_ELEMENTS // r), the oracle kernel's own bound of 65,536 draws,
+max(1, CHUNK_ELEMENTS // r), the oracle kernel's own bound of 65,536 entries,
 and adds each block's share into ln W and ln V.  Its memory is one block of
 draws, whatever ell is: one estimate at q = 1,000 and eps = 0.1 (32,401
 levels at r = 924) peaked at 69 MB of RSS, against 282 MB with all

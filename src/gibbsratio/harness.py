@@ -90,10 +90,11 @@ TAU_TABLE = {
 }
 
 # Most floats a batch may hold: 2 per expected TPA point, 4 per TPA run and per
-# PPE run, 46 per trial, and in a boosted trial 170 + m q per repetition, so
-# 2 k q + 4 (k + r) + 46 trials + t (170 + m q) for q = ln Z(beta_min)/Z(beta_max)
-# and boost t; 2^28 floats is about 2.1 GB.  Measured peaks of RSS over the
-# start, or tracemalloc's count where noted, in floats:
+# PPE run, 46 per trial, in a boosted trial 170 + m q per repetition, and 2^20
+# per pool process, so 2 k q + 4 (k + r) + 46 trials + t (170 + m q) + 2^20 p
+# for q = ln Z(beta_min)/Z(beta_max), boost t and p = min(workers, trials) pool
+# processes (none when that is 1); 2^28 floats is about 2.1 GB.  Measured peaks
+# of RSS over the start, or tracemalloc's count where noted, in floats:
 # - A TPA point is a float64 in its wave's array and again in the array the
 #   waves are concatenated into: a two-level estimate at q = 3,000 and eps = 0.1
 #   (6.22M points) peaked at 133 MB from 31 MB, 2.05 floats a point.
@@ -108,8 +109,12 @@ TAU_TABLE = {
 # - A boosted trial spawns t child generators (833 B, 105 floats, each by
 #   tracemalloc) and keeps t results, each at most 63 floats next to its
 #   m q + 2 schedule levels (201 two-level repetitions at q = 2 and q = 8).
+# - A forked pool worker held 5.3-6.8 MB of Private_Dirty after 20 trials on
+#   q8-pool, q64-long, ising-tv and q8-tight, 0.68-0.87M floats, by
+#   /proc/self/smaps_rollup.
 # With the headline k = 2,074 and r = 60, q = 3e4 (62M points) is accepted and
-# q = 1e6 (2.1e9 points) is refused, and so are 1e9 trials and a boost of 1e8.
+# q = 1e6 (2.1e9 points) is refused, and so are 1e9 trials, a boost of 1e8 and
+# 1,000 trials on 1,000 workers.
 WORK_BUDGET = 2 ** 28
 
 
@@ -153,6 +158,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be non-negative")
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
         if self.boost_t is not None and (self.boost_t < 1 or self.boost_t % 2 == 0):
             raise ValueError("boost_t must be a positive odd integer")
@@ -228,8 +235,8 @@ def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> Esti
     inside (0, 1).  A batch that would hold more than ``WORK_BUDGET`` floats
     raises ``BudgetExceededError``: 2 k q for a trial's expected TPA points
     (q = ln Z(beta_min)/Z(beta_max)), 4 (k + r) for its TPA and PPE runs, 46
-    for each trial's record, and with boost t, t (170 + m q) for the kept
-    repetitions.
+    for each trial's record, with boost t, t (170 + m q) for the kept
+    repetitions, and 2^20 for each process ``run_trials`` starts.
     """
     case = detect_case(inst)
     est = build_config(
@@ -237,14 +244,20 @@ def resolve_estimator_config(cfg: ExperimentConfig, inst: CountInstance) -> Esti
     )
     q = log_ratio_true(inst)
     boost = (cfg.boost_t or 0) * (170 + est.m * q)
-    floats = 2 * est.k * q + 4 * (est.k + est.r) + 46 * cfg.trials + boost
+    processes = _pool_processes(cfg)
+    floats = 2 * est.k * q + 4 * (est.k + est.r) + 46 * cfg.trials + boost + 2 ** 20 * processes
     if floats > WORK_BUDGET:
         raise BudgetExceededError(
-            f"a batch would hold 2 k q + 4 (k + r) + 46 trials + t (170 + m q) = {floats:.3g} "
-            f"floats at k = {est.k}, q = {q:.3g}, r = {est.r}, m = {est.m:.3g}, trials = "
-            f"{cfg.trials} and t = {cfg.boost_t or 0}: over the work budget of {WORK_BUDGET}"
+            f"a batch would hold 2 k q + 4 (k + r) + 46 trials + t (170 + m q) + 2^20 p = {floats:.3g}"
+            f" floats at k = {est.k}, q = {q:.3g}, r = {est.r}, m = {est.m:.3g}, trials = {cfg.trials},"
+            f" t = {cfg.boost_t or 0} and p = {processes}: over the work budget of {WORK_BUDGET}"
         )
     return est
+
+
+def _pool_processes(cfg: ExperimentConfig) -> int:
+    """Processes ``run_trials`` starts: min(workers, trials), or none when that is 1."""
+    return 0 if 1 in (cfg.workers, cfg.trials) else min(cfg.workers, cfg.trials)
 
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -299,14 +312,14 @@ def run_trials(cfg: ExperimentConfig, resolved: tuple | None = None) -> TrialBat
     inst, est_cfg = resolved
     q_true = log_ratio_true(inst)
     payloads = [(inst, est_cfg, cfg, index, q_true) for index in range(cfg.trials)]
-    if cfg.workers > 1:
+    if processes := _pool_processes(cfg):
         from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import; serial runs skip it
 
         # forked workers inherit the parent's modules: numpy loads numpy.random
         # on first use, which a worker would otherwise pay for in every batch
         import numpy.random  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             records = list(pool.map(_run_one_trial, payloads, chunksize=8))
     else:
         records = [_run_one_trial(p) for p in payloads]

@@ -16,20 +16,19 @@ draw against about 31 ns.
 The logits log c_j - beta h_j of a table are one matrix product, taken
 relative to level 0's: the handle's (levels, 2) matrix
 [log c_j - log c_0, -(h_j - h_0)], built once in ``__init__`` with row 0
-[0, 0], times the (2, betas) matrix [1; betas].  The product replaced
-``np.multiply.outer`` followed by a broadcast subtract, two passes over the
-table where the product makes one.  With the max shift, 23 levels took 55 us
-against 132 us at 1,200 betas and 122 against 173 us at 2,806, 300 levels x
-200 betas 109 against 256 us, and two levels were level (23 against 25 us at
-2,074 betas; min of 7 timeit repeats).  The product's fused multiply-add may
-round a logit once where the subtract rounded twice, so an entry can move by
-an ulp or two of |log c_j| + |beta h_j|; a draw moves only where u * total
-lands that close to a table entry.  The same holds between CPUs whose BLAS
-kernels do and do not fuse.  Up to 65,536 levels a table holds at most
-``CHUNK_ELEMENTS`` entries, so a product is at most 2 x 65,536 multiply-adds,
-below OpenBLAS's threshold for threading it: it runs on the calling thread
-(CPU over wall time 1.00 at 2, 23, 64 and 300 levels, against 1.97 for a
-500 x 200 x 500 product).
+[0, 0], times the (2, betas) matrix [1; betas].  The product makes one pass
+over the table where ``np.multiply.outer`` and a broadcast subtract make two.
+With the max shift, 23 levels took 55 us against 132 us at 1,200 betas and
+122 against 173 us at 2,806, 300 levels x 200 betas 109 against 256 us, and
+two levels were level (23 against 25 us at 2,074 betas; min of 7 timeit
+repeats).  The product's fused multiply-add may round a logit once where the
+subtract rounds twice, so an entry can move by an ulp or two of
+|log c_j| + |beta h_j|; a draw moves only where u * total lands that close to
+a table entry.  The same holds between CPUs whose BLAS kernels do and do not
+fuse.  Up to 65,536 levels a table holds at most ``CHUNK_ELEMENTS`` entries,
+so a product is at most 2 x 65,536 multiply-adds, below OpenBLAS's threshold
+for threading it: it runs on the calling thread (CPU over wall time 1.00 at
+2, 23, 64 and 300 levels, against 1.97 for a 500 x 200 x 500 product).
 
 The floor is beta* = max_{j >= 1} (log c_j - log c_0 - 600) / (h_j - h_0),
 or -inf on one level.  Energies are sorted and distinct, so each relative
@@ -43,44 +42,40 @@ cancels in the shift.  An unshifted weight is e^g times its max-shifted
 value, g >= 0 being the column's largest relative logit, so no weight that
 was a normal float becomes subnormal and no more of the ``exp``'s inputs take
 its slow path.  The inverse CDF does not depend on a column's scale, so only
-rounding moves, as with the product; the record hashes of
-``tools/records.py`` did not change, and draws on both sides of the floor
-match a replay of max-shifted absolute logits draw for draw.  Every table of
-the benchmark workloads lies above its floor (-591 at two-level q=8, -535 at
+rounding moves, as with the product; draws on both sides of the floor match
+a replay of max-shifted absolute logits draw for draw.  Every table of the
+benchmark workloads lies above its floor (-591 at two-level q=8, -535 at
 q=64, -25 on the 4x4 Ising grid, all below beta_min = 0); two-level q=1000
-(floor 401) and lb64 (30.4) take both paths.  Skipping the column max and
-the subtract took the 23 x 2,806 Ising weights from 132-163 to 80-88 us
-and the 2 x 2,074 q=64 weights from 15-17 to 11 us (min of 7 timeit
-repeats, three alternating runs, 2-vCPU Xeon VM).
+(floor 401) and lb64 (30.4) take both paths.  Without the column max and the
+subtract the 23 x 2,806 Ising weights took 80-88 us against 132-163 us, and
+the 2 x 2,074 q=64 weights 11 against 15-17 us (min of 7 timeit repeats,
+three alternating runs, 2-vCPU Xeon VM).  Whether a table needs the max
+shift is read from its smallest beta, found by ``argmin`` (0.8 us at 10
+betas, against 2.6 us for ``min``).
 
-The running sum is picked by the table's width.  One in-place add per level
-costs about 0.5 us a row at any width; ``np.cumsum`` down the rows costs
-about 3 us plus 4.5 ns an entry.  So ``np.cumsum`` takes a table only when
-width x (levels + 4) < 110 x (levels - 6): never at 6 levels or fewer, and
-never above 110 betas.  At 23 levels the row adds took 12-13 us, and
-``np.cumsum`` 3.4, 7.7 and 25.6 us at 2, 50 and 200 betas (timeit, min of
-repeats, 2-vCPU Xeon VM).  Both add in the same order, so the sums are
-bit-identical.  The index count adds the comparisons up in the narrowest
-unsigned type that holds levels - 1: uint8 up to 256 levels, uint16 up to
-65,536, intp above.  On a 22 x 2,806 comparison that took 6 us, against 54 us
-for a bool-to-intp sum.  A two-level table has one comparison row, and that
-row is the index: ``take`` reads it viewed as uint8 and no sum runs, which
-saved the 2.8 us ``np.add.reduce`` took on a 10-beta TPA wave.  Whether a
-table needs the max shift is read from its smallest beta, found by
-``argmin`` (0.8 us at 10 betas, against 2.6 us for ``min``).
+The running sum is one in-place add per level, down the rows.  The index
+count adds the comparisons up in the narrowest unsigned type that holds
+levels - 1: uint8 up to 256 levels, uint16 up to 65,536, intp above.  On a
+22 x 2,806 comparison that took 6 us, against 54 us for a bool-to-intp sum.
+A two-level table has one comparison row, and that row is the index:
+``take`` reads it viewed as uint8 and no sum runs, which saves the 2.8 us
+``np.add.reduce`` takes on a 10-beta TPA wave.
 
-A call allocates its output and one table per block of betas, built and
-exponentiated in place, with the table's two-row [1; betas] multiplier.  A
-call of several draw slices also allocates one set of slice buffers that
-every slice reuses; a call of one table and one slice, as every TPA wave of
-the benchmark workloads is, allocates no more.  Fresh table-sized
-temporaries per operation cost about 980 minor page faults per trial on the
-two-level q=64 workload; this layout takes none.
+A call draws in pieces of at most ``CHUNK_ELEMENTS // levels`` draws, so a
+piece's comparisons hold at most ``CHUNK_ELEMENTS`` bytes.  A piece is whole
+output rows, or part of one row when a row is longer than a piece; uniforms
+go out in row-major order either way.  Each piece allocates its own
+uniforms, comparisons and index count.  One table serves as many whole
+pieces as fit in ``CHUNK_ELEMENTS`` entries: on the 23-level Ising grid a
+table per piece of 47 betas x 60 draws took a 451-beta PPE call from about
+790 to 900-950 us.  A call that fits in one piece, as every TPA wave of the
+benchmark workloads does, builds one table and draws straight into its
+output.
 
-``CHUNK_ELEMENTS`` (65,536) bounds a table block and a draw slice.  It is
-public because ``estimator.paired_product`` reads it too: it asks for at most
-that many draws per ``sample_many`` call (one level's r draws when r is
-larger), so the PPE holds no more draws than one block, whatever its length.
+``CHUNK_ELEMENTS`` (65,536) is public because ``estimator.paired_product``
+reads it too: it asks for at most that many draws per ``sample_many`` call
+(one level's r draws when r is larger), so the PPE holds no more draws than
+that at once, whatever its length.
 
 An optional corruption wrapper mixes in a fixed alternative distribution with
 probability tv_budget, which bounds the total-variation distance from the
@@ -103,7 +98,7 @@ __all__ = ["Corruption", "SamplingOracle", "CORRUPTION_MODES", "CHUNK_ELEMENTS"]
 
 CORRUPTION_MODES = ("uniform", "adversarial_max_h", "adversarial_min_h")
 
-# bound on the table entries of a block, and on the draws of a slice, in SamplingOracle._draw,
+# bound on the table entries and comparisons of a piece in SamplingOracle._draw,
 # and on the draws of one paired_product block
 CHUNK_ELEMENTS = 1 << 16
 
@@ -174,32 +169,23 @@ class SamplingOracle:
     def _draw(self, betas: np.ndarray, size: int, rng) -> np.ndarray:
         """``size`` exact draws per entry of the 1-D ``betas``, shape (len, size).
 
-        A block of about ``CHUNK_ELEMENTS`` table entries, whatever ``size``
-        is, gets one table; the draws go in slices of whole output rows, or of
-        part of one row, under the same bound.  A call whose draws times
-        levels fit the bound is one table and one slice, drawn straight into
-        its output.  Several slices share one comparison and one index-count
-        buffer; only each slice's uniforms are fresh.
+        The draws go in pieces of at most ``CHUNK_ELEMENTS // levels``: whole
+        output rows, or part of one row when a row is longer than a piece.
+        A table serves a block of whole pieces; a call that fits in one piece
+        is drawn straight into its output.
         """
-        n = self.instance.energies.size
+        piece = max(1, CHUNK_ELEMENTS // self.instance.energies.size)
         out = np.empty((betas.size, size))
-        block = max(1, CHUNK_ELEMENTS // n)  # betas per table; draws per slice if rows == 1
-        if betas.size * max(1, size) <= block:  # one table, one slice
+        if betas.size * max(1, size) <= piece:
             self._invert(self._table(betas), rng, out)
             return out
-        rows = max(1, min(betas.size, block // max(1, size)))  # betas per draw slice
-        cols = min(block, size)  # draws per slice
-        below = np.empty((n - 1, rows, cols), dtype=bool)
-        count = np.empty((rows, cols), dtype=_count_dtype(n))
-        for lo in range(0, betas.size, block):
-            cum = self._table(betas[lo:lo + block])
-            dst = out[lo:lo + block]
-            for r in range(0, cum.shape[1], rows):
-                part = cum[:, r:r + rows]
-                p = part.shape[1]
-                for c in range(0, size, block):
-                    w = min(block, size - c)
-                    self._invert(part, rng, dst[r:r + p, c:c + w], below[:, :p, :w], count[:p, :w])
+        rows = max(1, piece // max(1, size))  # betas per piece
+        block = piece // rows * rows  # betas per table: whole pieces, at most CHUNK_ELEMENTS entries
+        for r in range(0, betas.size, rows):
+            if not r % block:
+                cum = self._table(betas[r:r + block])
+            for c in range(0, size, piece):  # more than one piece only when rows == 1
+                self._invert(cum[:, r % block:r % block + rows], rng, out[r:r + rows, c:c + piece])
         return out
 
     def _table(self, betas: np.ndarray) -> np.ndarray:
@@ -209,15 +195,11 @@ class SamplingOracle:
         max shift below the floor only, and the ``exp``.
         """
         cum = self._weights(betas)
-        n, width = cum.shape
-        if width * (n + 4) < 110 * (n - 6):  # narrow: see the module docstring
-            np.cumsum(cum, axis=0, out=cum)
-        else:
-            levels = iter(cum)
-            below = next(levels)
-            for row in levels:
-                row += below
-                below = row
+        levels = iter(cum)
+        below = next(levels)
+        for row in levels:
+            row += below
+            below = row
         return cum
 
     def _weights(self, betas: np.ndarray) -> np.ndarray:
@@ -239,17 +221,16 @@ class SamplingOracle:
             w -= w.max(axis=0)
         return np.exp(w, out=w)
 
-    def _invert(self, cum, rng, dst, below=None, count=None) -> None:
-        """Inverse-CDF draws into ``dst`` (betas, draws) from the table ``cum``;
-        ``below`` and ``count`` are the comparison and index buffers, or None."""
+    def _invert(self, cum, rng, dst) -> None:
+        """Inverse-CDF draws into ``dst`` (betas, draws) from the table ``cum``."""
         x = rng.random(dst.shape)
         x *= cum[-1][:, None]
-        hit = np.less_equal(cum[:-1, :, None], x, out=below)
+        hit = cum[:-1, :, None] <= x
         del x  # else it lives on while take converts idx to intp
         if hit.shape[0] == 1:  # two levels: the one comparison row is the index
             idx = hit[0].view(np.uint8)
         else:
-            idx = np.add.reduce(hit.view(np.uint8), axis=0, dtype=_count_dtype(cum.shape[0]), out=count)
+            idx = np.add.reduce(hit.view(np.uint8), axis=0, dtype=_count_dtype(cum.shape[0]))
         # indices lie in [0, n); "clip" writes into dst unbuffered
         self.instance.energies.take(idx, out=dst, mode="clip")
 

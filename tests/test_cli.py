@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gibbsratio import harness
+from gibbsratio import cli, harness
 from gibbsratio.cli import _experiment_config, build_parser, main
 from gibbsratio.harness import ExperimentConfig
 from gibbsratio.instance import CountInstance, save_instance
@@ -139,7 +139,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag,value,message", [
         ("--tv-budget", "-0.1", "tv_budget must lie in [0, 1)"),
         ("--boost", "2", "boost_t must be a positive odd integer"),
-    ], ids=["tv-budget", "boost"])
+        ("--seed", "-1", "master_seed must be non-negative"),
+    ], ids=["tv-budget", "boost", "seed-negative"])
     def test_rejected_run_setting_exits_2_with_one_line(self, capsys, flag, value, message):
         with pytest.raises(SystemExit) as exc:
             main(["trials", flag, value])
@@ -147,6 +148,24 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gibbsratio trials: error: {message}\n"
+
+    @pytest.mark.parametrize("argv,out", [
+        (("trials", "--trials", "3"), "missing/x.ndjson"),
+        (("schedule",), "."),
+    ], ids=["trials-missing-dir", "schedule-directory"])
+    def test_out_it_cannot_open_exits_2_before_any_work(self, capsys, monkeypatch, tmp_path, argv, out):
+        def no_work(*args):
+            raise AssertionError("work ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_trials", no_work)
+        monkeypatch.setattr(cli, "generate_schedule", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gibbsratio {argv[0]}: error: [Errno ")
+        assert captured.err.count("\n") == 1
 
     def test_model_over_the_enumeration_budget_exits_2_with_one_line(self, grid4_graph, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -195,8 +214,9 @@ class TestUsageErrors:
         (("--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"), "over the work budget"),
         (("--trials", "1000000000"), "over the work budget"),
         (("--boost", "100000001"), "over the work budget"),
+        (("--trials", "1000", "--workers", "1000"), "over the work budget"),
     ], ids=["eps-1e-9", "r-1e8", "d-1e9", "eps-1e-17", "eps-1e-300", "d-2^63", "m-1e308",
-            "k-over-a-tiny-window", "trials-1e9", "boost-1e8"])
+            "k-over-a-tiny-window", "trials-1e9", "boost-1e8", "workers-1000"])
     def test_knob_too_large_for_a_trial_exits_2_with_one_line_at_once(self, capsys, argv, message):
         started = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
@@ -425,7 +445,7 @@ KNOBS = {
     "--eps": FLOAT_TEXTS, "--q": FLOAT_TEXTS, "--d": INT_TEXTS, "--r": INT_TEXTS,
     "--m": FLOAT_TEXTS, "--gamma": FLOAT_TEXTS, "--lam": FLOAT_TEXTS,
     "--beta-min": FLOAT_TEXTS, "--beta-max": FLOAT_TEXTS, "--tv-budget": FLOAT_TEXTS,
-    "--n-factors": INT_TEXTS, "--m-grid": INT_TEXTS,
+    "--n-factors": INT_TEXTS, "--m-grid": INT_TEXTS, "--seed": INT_TEXTS,
 }
 
 

@@ -1,5 +1,6 @@
 """Trial harness: reproducibility, accounting, summaries, suites."""
 
+import concurrent.futures
 import io
 import json
 import math
@@ -108,7 +109,8 @@ class TestModelDispatch:
     @pytest.mark.parametrize("bad,message", [
         (dict(trials=0), "trials must be at least 1"),
         (dict(workers=0), "workers must be at least 1"),
-    ], ids=["trials-zero", "workers-zero"])
+        (dict(master_seed=-1), "master_seed must be non-negative"),
+    ], ids=["trials-zero", "workers-zero", "seed-negative"])
     def test_bad_run_knobs_rejected_at_build(self, bad, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad)
@@ -165,6 +167,14 @@ class TestModelDispatch:
         cfg = ExperimentConfig(model="singleton", r=5 * 10 ** 7, trials=1)
         assert resolve_estimator_config(cfg, build_model_instance(cfg)).r == 5 * 10 ** 7
 
+    def test_work_budget_counts_each_pool_process(self):
+        # 2^20 floats a process: 1,000 of them are over the budget, while two
+        # trials start two processes however many workers are asked for
+        inst = build_model_instance(ExperimentConfig())
+        with pytest.raises(BudgetExceededError, match="p = 1000: over the work budget"):
+            resolve_estimator_config(ExperimentConfig(trials=1000, workers=1000), inst)
+        resolve_estimator_config(ExperimentConfig(trials=2, workers=10 ** 9), inst)
+
 
 class TestTrialRng:
     def test_documented_splitting_rule(self):
@@ -212,6 +222,33 @@ class TestRunTrials:
         assert [rec.to_dict() for rec in serial.records] == [
             rec.to_dict() for rec in pooled.records
         ]
+
+    @pytest.mark.parametrize("trials,workers,pools", [
+        (2, 100000, [2]), (3, 2, [2]), (1, 2, []),
+    ], ids=["trials-2-workers-1e5", "trials-3-workers-2", "trials-1-workers-2"])
+    def test_pool_starts_no_more_processes_than_trials(
+        self, monkeypatch, trials, workers, pools
+    ):
+        # a stand-in pool records max_workers and runs the trials in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads, chunksize):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = ExperimentConfig(master_seed=9, **(SMALL | dict(trials=trials, workers=workers)))
+        assert len(run_trials(cfg).records) == trials
+        assert started == pools
 
     def test_structural_call_identity(self):
         checks = call_accounting_checks(run_trials(ExperimentConfig(master_seed=11, **SMALL)))

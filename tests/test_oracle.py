@@ -117,23 +117,24 @@ class TestExactSampling:
         pytest.param(256, False, 40, 30, id="256-levels"),
         pytest.param(257, False, 40, 30, id="257-levels"),
         pytest.param(300, False, 16, 300, id="narrow-300-levels"),
+        pytest.param(300, False, 500, 2, id="two-tables"),
         pytest.param(2, True, 60, 300, id="two-levels-one-slice"),
         pytest.param(2, True, 260, 924, id="two-levels-q8-tight-ppe"),
     ])
     def test_vector_matches_row_by_row_searchsorted(self, levels, varied, rows, size):
-        # 60-300 splits the rows over slices and 3-5000 splits each row, on
-        # tables narrow enough for the np.cumsum level sum; wide-table (400
-        # betas over 20 levels) takes the row adds.  256 and 257 levels sit on
-        # either side of the uint8/uint16 index count, and narrow-300-levels
-        # sums 16 betas over 300 levels by np.cumsum, each row in two slices.
-        # Two levels index by their one comparison row: in one table and one
-        # slice, and over the slices of q8-tight's PPE shape, 260 betas x 924.
+        # 60-300 splits the rows over pieces and 3-5000 splits each row;
+        # wide-table draws 400 betas over 20 levels.  256 and 257 levels sit
+        # on either side of the uint8/uint16 index count, and narrow-300-levels
+        # cuts each row of 16 betas over 300 levels in two pieces, and two-tables
+        # draws 500 betas in pieces of 109 from tables of 218.  Two levels
+        # index by their one comparison row: in one piece, and over the pieces
+        # of q8-tight's PPE shape, 260 betas x 924.
         # Unit counts make the top level, the largest count, likely at beta < 0.
         inst = CountInstance(
             [(h, 0.1 * h * (7 - h % 5) if varied else 0.0) for h in range(levels)], 0.0, 2.0
         )
         entries = rows * size * inst.support_size
-        assert entries <= CHUNK_ELEMENTS or entries > 4 * CHUNK_ELEMENTS  # one slice, or several
+        assert entries <= CHUNK_ELEMENTS or entries > 4 * CHUNK_ELEMENTS  # one piece, or several
         betas = np.linspace(-0.5, 2.5, rows)
         oracle = SamplingOracle(inst)
         draws = oracle.sample_many(betas, size, np.random.default_rng(21))
@@ -281,7 +282,7 @@ class TestKernelScratch:
         (23, 2806, None),  # a TPA wave (sample_at) on the 23-level Ising grid
     ], ids=["q64-ppe", "q8-tight-ppe", "23-level-wave"])
     def test_peak_above_the_output_stays_near_one_table(self, support, rows, size):
-        # one table of CHUNK_ELEMENTS float64 entries plus the slice buffers;
+        # one table of CHUNK_ELEMENTS float64 entries plus a piece's temporaries;
         # a second table-sized temporary would push the peak past 2x
         if support == 2:
             inst = two_level_instance(64.0)
@@ -307,8 +308,8 @@ class TestKernelScratch:
 
     @pytest.mark.parametrize("rows,size", [(2075, 60), (260, 924)], ids=["q64-ppe", "q8-tight-ppe"])
     def test_multi_slice_calls_hold_one_slice_of_uniforms(self, rows, size):
-        # a slice's uniforms are released before the next slice's are drawn;
-        # holding them on puts two slice-sized arrays at the peak (about 1.6 tables)
+        # a piece's uniforms are released before the next piece's are drawn;
+        # holding them on puts two piece-sized arrays at the peak (about 1.6 tables)
         oracle = SamplingOracle(two_level_instance(64.0))
         betas = np.linspace(oracle.instance.beta_min, oracle.instance.beta_max, rows)
         rng = np.random.default_rng(24)

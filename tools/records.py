@@ -10,8 +10,11 @@ not depend on the number of workers, so two checkouts that print the same
 hashes draw the same records.  One row outside the benchmark, ``q1000``
 (twolevel q=1000, eps 0.5, always 2 trials), covers the oracle tables below
 the floor: its floor, 401, lies inside its window [0, 1000.46], where every
-benchmark workload's lies below beta_min.  The package is imported from this
-checkout's ``src``; the Ising graph is written to a temporary directory.
+benchmark workload's lies below beta_min.  Another, ``q8-split`` (twolevel
+q=8, eps 0.01, always 2 trials), draws r = 81,204 per PPE level, more than
+one kernel piece of 32,768 two-level draws, so each level's row is cut into
+three pieces.  The package is imported from this checkout's ``src``; the
+Ising graph is written to a temporary directory.
 
 A second column hashes the same config run through the command line,
 ``main(["trials", ...])``, from the ndjson it writes; it must equal the first.
@@ -36,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, Workload, experiment_config, use_checkout_source  # noqa: E402
 
 BELOW_FLOOR = Workload("q1000", {"model": "twolevel", "target_q": 1000.0, "epsilon": 0.5}, trials=2)
+SPLIT_ROWS = Workload("q8-split", {"model": "twolevel", "target_q": 8.0, "epsilon": 0.01}, trials=2)
 
 
 def _digest(dicts: list[dict]) -> str:
@@ -76,7 +80,8 @@ def main(argv: list[str]) -> int:
     use_checkout_source()
     from gibbsratio.harness import run_trials
 
-    rows = [(workload, args.trials) for workload in WORKLOADS.values()] + [(BELOW_FLOOR, None)]
+    rows = [(workload, args.trials) for workload in WORKLOADS.values()]
+    rows += [(BELOW_FLOOR, None), (SPLIT_ROWS, None)]
     with tempfile.TemporaryDirectory() as tmp:
         for workload, trials in rows:
             cfg = experiment_config(workload, args.seed, Path(tmp), trials=trials)
