@@ -3,7 +3,8 @@
 Exact count-instance analytics, sampling oracles with optional corruption,
 TPA cooling-schedule generation, the paired product estimator with principled
 parameter selection, adversarial product-form instances, and a reproducible
-trial harness with a CLI.
+trial harness with a CLI.  The paper's claims as pinned checks are in
+``gibbsratio.claims``, which this package does not import.
 """
 
 from .estimator import (
@@ -22,9 +23,7 @@ from .harness import (
     ExperimentConfig,
     TrialBatch,
     TrialRecord,
-    run_suite,
     run_trials,
-    verify_lemma10,
 )
 from .instance import (
     CountInstance,
@@ -108,7 +107,5 @@ __all__ = [
     "perturb",
     "sensitivity",
     "curvature_sup",
-    "verify_lemma10",
     "run_trials",
-    "run_suite",
 ]

@@ -1,23 +1,24 @@
 """Command-line surface: single estimates, trial batches, diagnostics, suites.
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
-summaries go to stderr so machine output stays clean.  Suites and lowerbound
-print one check report and exit 0 on pass and 2 on failure.  A model,
-estimator or run flag left out takes its ``ExperimentConfig`` default, and
-the instance decides the energy-range case.  Each model knob is checked by
-the code that builds the model, and a knob the chosen model does not read is
-ignored.  A rejected run setting or estimator knob (an --eps that 1 + eps
-rounds away, a --d or --r from 2^63, an m d that is not finite), a model that
-cannot be built (a missing or malformed file, a knob or window the model
-rejects, too many states to enumerate, a lowerbound size over its caps), an
-instance outside the estimator's energy range (an energy inside (0, 1)), a
-batch over the work budget (the floats its TPA points, its TPA and PPE runs,
-its trial records and its boost repetitions would hold), and a ``tau`` --d or
---rho out of range are one-line usage errors (exit 2), raised before any
-output.  So are a negative --seed, an --out that cannot be opened for
-writing and a --workers whose processes, min(--workers, --trials), would
-take the batch over the work budget; each is caught before the first trial
-and before any worker process starts.
+summaries go to stderr so machine output stays clean.  ``suite`` runs one
+suite of ``gibbsratio.claims.SUITES`` (the four composite suites and one per
+acceptance criterion); it and ``lowerbound`` print one check report and exit 0
+on pass and 2 on failure.  A model, estimator or run flag left out takes its
+``ExperimentConfig`` default, and the instance decides the energy-range case.
+Each model knob is checked by the code that builds the model, and a knob the
+chosen model does not read is ignored.  A rejected run setting or estimator
+knob (an --eps that 1 + eps rounds away, a --d or --r from 2^63, an m d that
+is not finite), a model that cannot be built (a missing or malformed file, a
+knob or window the model rejects, too many states to enumerate, a lowerbound
+size over its caps), an instance outside the estimator's energy range (an
+energy inside (0, 1)), a batch over the work budget (the floats its TPA
+points, its TPA and PPE runs, its trial records and its boost repetitions
+would hold), and a ``tau`` --d or --rho out of range are one-line usage errors
+(exit 2), raised before any output.  So are a negative --seed, an --out that
+cannot be opened for writing and a --workers whose processes, min(--workers,
+--trials), would take the batch over the work budget; each is caught before
+the first trial and before any worker process starts.
 """
 
 from __future__ import annotations
@@ -30,19 +31,15 @@ import time
 from dataclasses import fields
 from typing import NoReturn
 
+from .claims import SUITES, TAU_RHO, TAU_TABLE, run_suite, verify_lemma10
 from .estimator import tau_rho
 from .harness import (
     MODELS,
-    SUITES,
-    TAU_RHO,
-    TAU_TABLE,
     ExperimentConfig,
     build_model_instance,
     resolve_estimator_config,
-    run_suite,
     run_trials,
     trial_rng,
-    verify_lemma10,
     write_records,
 )
 from .instance import log_ratio_true, schedule_delta

@@ -1,8 +1,7 @@
-"""Seeded trial batches, summaries, the paper's claims as checks, and the suites.
+"""Seeded trial batches, their summaries and their serialized records.
 
-Each claim is one function that returns its checks, with its sample size and
-tolerance fixed inside; the suites run them on pinned streams, the tests on
-their own seeds.
+The paper's claims, and the suites that check them on batches from here, are
+in ``gibbsratio.claims``, which this module does not import.
 
 Reproducibility contract: trial i runs on a generator seeded with
 SeedSequence(entropy=master_seed, spawn_key=(i,)), so records are identical
@@ -16,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,18 +26,16 @@ from .estimator import (
     estimate,
     median_boost,
     predicted_calls,
-    tau_rho,
 )
 from .instance import (
     CountInstance,
     load_instance,
-    log_partition,
     log_ratio_true,
     schedule_delta,
     singleton_instance,
     two_level_instance,
 )
-from .lowerbound import LowerBoundInstance, build_from_grid, curvature_sup, sensitivity
+from .lowerbound import build_from_grid
 from .models import (
     BudgetExceededError,
     enumerate_colorings,
@@ -47,47 +44,19 @@ from .models import (
     load_graph,
 )
 from .oracle import Corruption, SamplingOracle
-from .tpa import ppp_reference, tpa_multi, tpa_step
 
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
     "TrialBatch",
-    "SuiteCheck",
-    "SuiteReport",
     "MODELS",
-    "SUITES",
-    "TAU_RHO",
-    "TAU_TABLE",
     "build_model_instance",
     "run_trials",
-    "run_suite",
-    "tau_checks",
-    "pooled_count_checks",
-    "step_survival_checks",
-    "reference_process_checks",
-    "call_accounting_checks",
-    "verify_lemma10",
     "wilson_interval",
     "write_records",
 ]
 
 MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings", "lowerbound")
-
-# the rho of the tabulated schedule-quality bound, and d -> (tau_rho(d, TAU_RHO), argmin tau)
-TAU_RHO = 75.0 / 76.0
-TAU_TABLE = {
-    1: (9.903, 8.645),
-    2: (6.052, 5.384),
-    4: (4.000, 3.634),
-    8: (2.860, 2.653),
-    16: (2.197, 2.075),
-    32: (1.794, 1.720),
-    64: (1.539, 1.492),
-    128: (1.372, 1.342),
-    256: (1.260, 1.241),
-    512: (1.184, 1.170),
-}
 
 # Most floats a batch may hold: 2 per expected TPA point, 4 per TPA run and per
 # PPE run, 46 per trial, in a boosted trial 170 + m q per repetition, and 2^20
@@ -289,7 +258,9 @@ def _run_one_trial(payload) -> TrialRecord:
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval of ``successes`` in ``trials``."""
+    z = 1.96
     if trials < 1:
         raise ValueError("trials must be positive")
     p = successes / trials
@@ -385,211 +356,3 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
-
-
-# -- paper claims and the suites built from them ---------------------------
-
-
-@dataclass(frozen=True)
-class SuiteCheck:
-    name: str
-    observed: float
-    expected: float
-    tolerance: str
-    passed: bool
-
-
-def _check(name, observed, expected, tolerance, passed) -> SuiteCheck:
-    return SuiteCheck(name, float(observed), float(expected), tolerance, bool(passed))
-
-
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list[SuiteCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def lines(self) -> list[str]:
-        rows = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]
-        for check in self.checks:
-            mark = "PASS" if check.passed else "FAIL"
-            rows.append(
-                f"  [{mark}] {check.name}: observed {check.observed:.6g}, "
-                f"expected {check.expected:.6g} ({check.tolerance})"
-            )
-        return rows
-
-
-def tau_checks(d: int) -> list[SuiteCheck]:
-    """``tau_rho(d, TAU_RHO)`` and its argmin against the ``TAU_TABLE`` row for d."""
-    bound, argmin = TAU_TABLE[d]
-    res = tau_rho(d, TAU_RHO)
-    return [
-        _check(
-            f"tau_rho({d})", res.value, bound, "within [-5e-3, +1e-3]",
-            bound - 5e-3 <= res.value <= bound + 1e-3,
-        ),
-        _check(
-            f"argmin tau({d})", res.argmin_tau, argmin, "within 0.01",
-            abs(res.argmin_tau - argmin) <= 0.01,
-        ),
-    ]
-
-
-def pooled_count_checks(rng) -> list[SuiteCheck]:
-    """TPA's pooled count law: 10 runs over a window of width 5 count Poisson(50).
-
-    2,000 pools; the mean within 3 standard errors, variance/mean in [0.9, 1.1].
-    """
-    oracle = SamplingOracle(singleton_instance(beta_max=5.0))
-    counts = np.array([tpa_multi(oracle, 10, rng).points.size for _ in range(2000)])
-    mean = counts.mean()
-    ratio = counts.var(ddof=1) / mean
-    return [
-        _check(
-            "pooled count mean (k=10, q=5)", mean, 50.0, "within 3 standard errors",
-            abs(mean - 50.0) <= 3 * math.sqrt(50.0 / 2000),
-        ),
-        _check("count variance/mean", ratio, 1.0, "within [0.9, 1.1]", 0.9 <= ratio <= 1.1),
-    ]
-
-
-def step_survival_checks(rng) -> list[SuiteCheck]:
-    """TPA's step survival identity P(step from 0 >= alpha) = Z(alpha)/Z(0).
-
-    100,000 steps on the symmetric two-level instance over [0, ln 3]; each of
-    five alphas within 4 standard errors.
-    """
-    inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-    steps = tpa_step(SamplingOracle(inst), np.zeros(100_000), rng)
-    checks = []
-    for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
-        target = math.exp(log_partition(inst, alpha) - log_partition(inst, 0.0))
-        emp = float((steps >= alpha).mean())
-        tol = 4 * math.sqrt(target * (1 - target) / steps.size)
-        checks.append(_check(
-            f"step survival at alpha={alpha:.4g}", emp, target, "within 4 standard errors",
-            abs(emp - target) <= tol,
-        ))
-    return checks
-
-
-def reference_process_checks(rng, k: int, pools: int) -> list[SuiteCheck]:
-    """Log-partition images of ``pools`` TPA(k) pools against the reference process.
-
-    On the two-level q=4 instance z(beta_min) - z(point) is a rate-k Poisson
-    process on [0, q] (k = 1 checks a single run); the two-sample KS p-value
-    against ``ppp_reference`` must stay above 1e-3.
-    """
-    from scipy import stats  # local, as in minimize_on_grid
-
-    inst = two_level_instance(4.0)
-    oracle = SamplingOracle(inst)
-    z0 = log_partition(inst, inst.beta_min)
-    q = log_ratio_true(inst)
-    mapped = np.concatenate(
-        [z0 - log_partition(inst, tpa_multi(oracle, k, rng).points) for _ in range(pools)]
-    )
-    reference = np.concatenate([ppp_reference(q, k, rng) for _ in range(pools)])
-    _, p_value = stats.ks_2samp(mapped, reference)
-    return [_check(
-        "KS p-value: mapped points vs reference process", p_value, 1e-3,
-        "p above significance 1e-3", p_value > 1e-3,
-    )]
-
-
-def call_accounting_checks(batch: TrialBatch) -> list[SuiteCheck]:
-    """Exact accounting: every trial's calls equal ``EstimatorConfig.exact_calls``.
-
-    The identity holds per pipeline run.  A boosted record counts the calls of
-    all ``boost_t`` runs next to one run's points and levels, so a batch whose
-    config sets ``boost_t`` is a ValueError.
-    """
-    if batch.config.boost_t is not None:
-        raise ValueError("call accounting needs an unboosted batch; its config sets boost_t")
-    est = batch.estimator_config
-    exact = all(
-        rec.oracle_calls == est.exact_calls(rec.tpa_points, rec.schedule_len)
-        for rec in batch.records
-    )
-    return [_check(
-        "structural identity calls == (points + k) + (ell+1) r", exact, 1.0,
-        "exact on every trial", exact,
-    )]
-
-
-def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
-    """Check the four strict inequalities of the geometric lower-bound family."""
-    n, m = lb.n_factors, lb.m_grid
-    label = f"N={n} m={m}"
-    q_true = log_ratio_true(lb.expanded)
-    mid = (m + n / 2.0) * (n - 1) * math.log(2.0)
-    q_lower, q_upper = mid - n * math.log(2.0), mid + 2.0
-    rho, rho_floor = sensitivity(lb), (n / 2.0 - 2.0) / m
-    kappa, kappa_cap = curvature_sup(lb).kappa_ell_bound, 4.0 / m ** 2
-    ratio, ratio_floor = rho ** 2 / kappa, (n / 4.0 - 1.0) ** 2
-    return SuiteReport(f"lemma10 {label}", [
-        _check(
-            f"{label} log-ratio sandwich", q_true, q_lower,
-            f"inside ({q_lower:.4f}, {q_upper:.4f})", q_lower < q_true < q_upper,
-        ),
-        _check(f"{label} sensitivity floor", rho, rho_floor, "strictly above", rho > rho_floor),
-        _check(f"{label} curvature cap", kappa, kappa_cap, "strictly below", kappa < kappa_cap),
-        _check(
-            f"{label} sensitivity^2/curvature floor", ratio, ratio_floor, "strictly above",
-            ratio > ratio_floor,
-        ),
-    ])
-
-
-def _suite_tau_table() -> SuiteReport:
-    return SuiteReport("tau_table", [check for d in TAU_TABLE for check in tau_checks(d)])
-
-
-def _suite_distribution() -> SuiteReport:
-    return SuiteReport(
-        "distribution",
-        pooled_count_checks(trial_rng(2024, 0))
-        + step_survival_checks(trial_rng(2024, 1))
-        + reference_process_checks(trial_rng(2024, 2), k=25, pools=60),
-    )
-
-
-def _suite_accounting() -> SuiteReport:
-    cfg = ExperimentConfig(
-        model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0,
-        trials=50, master_seed=77,
-    )
-    batch, replay = run_trials(cfg), run_trials(cfg)
-    observed, predicted = batch.summary["oracle_calls_mean"], batch.summary["predicted_calls"]
-    identical = all(a.to_dict() == b.to_dict() for a, b in zip(batch.records, replay.records))
-    return SuiteReport("accounting", call_accounting_checks(batch) + [
-        _check(
-            "mean calls vs prediction", observed, predicted, "within 10% (50 trials)",
-            abs(observed - predicted) <= 0.10 * predicted,
-        ),
-        _check("replay determinism", identical, 1.0, "byte-identical records", identical),
-    ])
-
-
-def _suite_lemma10() -> SuiteReport:
-    reports = [verify_lemma10(build_from_grid(n, m)) for n, m in ((16, 2), (32, 3))]
-    return SuiteReport("lemma10", [check for report in reports for check in report.checks])
-
-
-SUITES = {
-    "distribution": _suite_distribution,
-    "accounting": _suite_accounting,
-    "lemma10": _suite_lemma10,
-    "tau_table": _suite_tau_table,
-}
-
-
-def run_suite(name: str) -> SuiteReport:
-    """Run one named acceptance suite with pinned seeds."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {tuple(SUITES)}")
-    return SUITES[name]()

@@ -2,15 +2,12 @@
 
 import pytest
 
+from gibbsratio.claims import GRID4
+
 
 @pytest.fixture
 def grid4_graph(tmp_path):
-    """The 4x4 square grid as an edge list, vertices numbered row by row."""
+    """``claims.GRID4``, the 4x4 square grid, as an edge-list file."""
     path = tmp_path / "grid4.txt"
-    path.write_text("".join(
-        f"{v} {v + step}\n"
-        for v in range(16)
-        for step, inside in ((1, v % 4 < 3), (4, v < 12))
-        if inside
-    ))
+    path.write_text("".join(f"{u} {v}\n" for u, v in GRID4.edges))
     return path

@@ -416,6 +416,7 @@ class TestSuite:
         code, out, _ = run_cli(capsys, "suite", "tau_table")
         assert code == 0
         assert out.startswith("suite tau_table: PASS")
+        assert out.count("[PASS]") == 2 * 10  # tau_rho and its argmin at each TAU_TABLE d
 
     def test_accounting(self, capsys):
         code, out, _ = run_cli(capsys, "suite", "accounting")

@@ -21,7 +21,6 @@ from gibbsratio.instance import (
     Schedule,
     log_ratio_true,
     logsumexp,
-    paired_moments,
     schedule_delta,
     singleton_instance,
     two_level_instance,
@@ -41,7 +40,7 @@ from gibbsratio.estimator import (
     predicted_calls,
     tau_rho,
 )
-from gibbsratio.harness import TAU_TABLE, tau_checks
+from gibbsratio.claims import TAU_TABLE, moment_checks, tau_checks
 
 
 class TestEpsilonTilde:
@@ -135,12 +134,12 @@ import numpy as np
 import gibbsratio
 from gibbsratio import cli
 from gibbsratio.estimator import build_config, detect_case, estimate
-from gibbsratio.harness import ExperimentConfig, run_trials, tau_checks
+from gibbsratio.claims import GRID4, tau_checks
+from gibbsratio.harness import ExperimentConfig, run_trials
 from gibbsratio.instance import schedule_delta
-from gibbsratio.models import GraphSpec, enumerate_ising
+from gibbsratio.models import enumerate_ising
 
-edges = [(v, v + step) for v in range(16) for step, inside in ((1, v % 4 < 3), (4, v < 12)) if inside]
-inst = enumerate_ising(GraphSpec(16, tuple(edges)))
+inst = enumerate_ising(GRID4)
 res = estimate(inst, build_config(0.5, inst.n, detect_case(inst)), np.random.default_rng(3))
 delta, _ = schedule_delta(inst, res.schedule)
 batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
@@ -393,18 +392,8 @@ class TestPairedProduct:
 
     @pytest.mark.statistical
     def test_single_interval_moments_match_closed_form(self):
-        inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-        oracle = SamplingOracle(inst)
-        rng = np.random.default_rng(2)
-        n = 100_000
-        sched = Schedule([0.0, math.log(3.0)])
-        half = 0.5 * math.log(3.0)
-        w = np.exp(-half * oracle.sample_many(0.0, n, rng))
-        v = np.exp(half * oracle.sample_many(math.log(3.0), n, rng))
-        pm = paired_moments(inst, 0.0, math.log(3.0))
-        for sample, log_target in ((w, pm.log_ew), (v, pm.log_ev)):
-            se = sample.std(ddof=1) / math.sqrt(n)
-            assert abs(sample.mean() - math.exp(log_target)) < 4 * se
+        checks = moment_checks(np.random.default_rng(2))
+        assert all(check.passed for check in checks), checks
 
     @pytest.mark.statistical
     def test_ratio_of_means_is_partition_ratio(self):

@@ -14,19 +14,21 @@ import numpy as np
 import pytest
 
 import gibbsratio
+from gibbsratio.claims import (
+    call_accounting_checks,
+    pooled_count_checks,
+    reference_process_checks,
+    run_suite,
+    step_survival_checks,
+    verify_lemma10,
+)
 from gibbsratio.harness import (
     ExperimentConfig,
     TrialRecord,
     build_model_instance,
-    call_accounting_checks,
-    pooled_count_checks,
-    reference_process_checks,
     resolve_estimator_config,
-    run_suite,
     run_trials,
-    step_survival_checks,
     trial_rng,
-    verify_lemma10,
     wilson_interval,
     write_records,
 )
@@ -320,14 +322,16 @@ import sys
 import gibbsratio
 from gibbsratio.harness import ExperimentConfig, run_trials
 batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
-print(len(batch.records), "concurrent.futures.process" in sys.modules)
+print(len(batch.records), "concurrent.futures.process" in sys.modules,
+      "gibbsratio.claims" in sys.modules)
 """
 
 
 def test_serial_batches_never_import_the_process_pool():
     # a fresh interpreter: concurrent.futures.process costs about 20 ms to
-    # import, so only run_trials with workers > 1 loads it
-    assert fresh_interpreter(SERIAL_BATCH_SCRIPT) == ["2", "False"]
+    # import, so only run_trials with workers > 1 loads it; the claims are
+    # never on a batch's import path
+    assert fresh_interpreter(SERIAL_BATCH_SCRIPT) == ["2", "False", "False"]
 
 
 LAZY_NUMPY_SCRIPT = """
@@ -454,16 +458,6 @@ class TestWriteRecords:
 
 
 class TestSuites:
-    def test_tau_table_suite(self):
-        report = run_suite("tau_table")
-        assert report.passed
-        assert len(report.checks) == 20
-
-    @pytest.mark.statistical
-    def test_distribution_suite(self):
-        report = run_suite("distribution")
-        assert report.passed, "\n".join(report.lines())
-
     @pytest.mark.statistical
     def test_distribution_suite_runs_the_claims_on_its_streams(self):
         claims = (
@@ -471,26 +465,23 @@ class TestSuites:
             + step_survival_checks(trial_rng(2024, 1))
             + reference_process_checks(trial_rng(2024, 2), 25, 60)
         )
-        assert run_suite("distribution").checks == claims
-
-    def test_accounting_suite(self):
-        report = run_suite("accounting")
+        report = run_suite("distribution")
+        assert report.checks == claims
         assert report.passed, "\n".join(report.lines())
 
     def test_accounting_suite_runs_the_claim_on_its_batch(self):
         batch = run_trials(ExperimentConfig(master_seed=77, **{**SMALL, "trials": 50}))
-        checks = run_suite("accounting").checks
-        assert checks[:1] == call_accounting_checks(batch)
-        assert checks[1].observed == batch.summary["oracle_calls_mean"]
-
-    def test_lemma10_suite(self):
-        report = run_suite("lemma10")
-        assert report.passed
+        report = run_suite("accounting")
+        assert report.checks[:1] == call_accounting_checks(batch)
+        assert report.checks[1].observed == batch.summary["oracle_calls_mean"]
+        assert report.passed, "\n".join(report.lines())
 
     def test_lemma10_suite_joins_the_instance_reports(self):
         parts = [verify_lemma10(build_from_grid(16, 2)), verify_lemma10(build_from_grid(32, 3))]
         assert [part.suite for part in parts] == ["lemma10 N=16 m=2", "lemma10 N=32 m=3"]
-        assert run_suite("lemma10").checks == parts[0].checks + parts[1].checks
+        report = run_suite("lemma10")
+        assert report.checks == parts[0].checks + parts[1].checks
+        assert report.passed
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

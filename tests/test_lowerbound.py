@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbsratio.harness import verify_lemma10
+from gibbsratio.claims import verify_lemma10
 from gibbsratio.instance import energy_variance, log_partition, log_ratio_true, mean_energy
 from gibbsratio.lowerbound import (
     MIN_C2,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gibbsratio.harness import pooled_count_checks, reference_process_checks, step_survival_checks
+from gibbsratio.claims import pooled_count_checks, reference_process_checks, step_survival_checks
 from gibbsratio.instance import CountInstance, singleton_instance
 from gibbsratio.oracle import SamplingOracle
 from gibbsratio.tpa import (
