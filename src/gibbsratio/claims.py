@@ -14,7 +14,7 @@ trial batch never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -49,6 +49,11 @@ TAU_TABLE = {
     256: (1.260, 1.241),
     512: (1.184, 1.170),
 }
+
+# the batch of the accounting suite, and of call accounting's k + 1 control
+ACCOUNTING_CONFIG = ExperimentConfig(
+    model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0, trials=50, master_seed=77
+)
 
 # the 4x4 square grid, vertices numbered row by row
 GRID4 = GraphSpec(16, tuple(
@@ -228,13 +233,13 @@ def schedule_quality_checks(rng) -> list[SuiteCheck]:
     )]
 
 
-def success_check(batch: TrialBatch, floor: float) -> SuiteCheck:
+def success_checks(batch: TrialBatch, floor: float) -> list[SuiteCheck]:
     """The batch's success rate is at least ``floor``; its Wilson interval is reported."""
     rate, (lo, hi) = batch.summary["success_rate"], batch.summary["wilson_95"]
-    return _check(
+    return [_check(
         f"success rate over {batch.config.trials} trials", rate, floor,
         f"at least; Wilson 95% [{lo:.3f}, {hi:.3f}]", rate >= floor,
-    )
+    )]
 
 
 def call_accounting_checks(batch: TrialBatch) -> list[SuiteCheck]:
@@ -257,14 +262,17 @@ def call_accounting_checks(batch: TrialBatch) -> list[SuiteCheck]:
     )]
 
 
-def mean_calls_check(batch: TrialBatch, within: float) -> SuiteCheck:
-    """The batch's mean calls lie within the fraction ``within`` of the predicted calls."""
+def mean_calls_checks(batch: TrialBatch, within: float, label: str = "") -> list[SuiteCheck]:
+    """The batch's mean calls lie within the fraction ``within`` of the predicted calls.
+
+    ``label`` prefixes the check's name.
+    """
     observed, predicted = batch.summary["oracle_calls_mean"], batch.summary["predicted_calls"]
-    return _check(
-        "mean calls vs prediction", observed, predicted,
+    return [_check(
+        f"{label}mean calls vs prediction", observed, predicted,
         f"within {within:.0%} ({batch.config.trials} trials)",
         abs(observed - predicted) <= within * predicted,
-    )
+    )]
 
 
 def _q8_batch(**knobs) -> TrialBatch:
@@ -285,7 +293,7 @@ def robustness_checks(mode: str) -> list[SuiteCheck]:
     cfg = build_config(0.5, inst.n, "II")
     tv = 0.1 / (cfg.m * log_ratio_true(inst) * (cfg.r + cfg.d) + 3 * cfg.r + 1)
     batch = _q8_batch(master_seed=2028, tv_budget=tv, corruption_mode=mode)
-    return [success_check(batch, 0.70 - 0.10 - 0.05)]
+    return success_checks(batch, 0.70 - 0.10 - 0.05)
 
 
 def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
@@ -350,8 +358,7 @@ def sensitive_checks(model: str, m: float | None = None) -> list[SuiteCheck]:
     good = [rec.success for rec in batch.records if rec.schedule_delta <= est.delta_threshold]
     share, rho = len(good) / cfg.trials, 0.75 / (1.0 - est.gamma)
     good_success = sum(good) / len(good) if good else math.nan
-    return [
-        success_check(batch, 0.75),
+    return success_checks(batch, 0.75) + [
         _check(f"good-schedule share (k={est.k})", share, rho, "at least rho", share >= rho),
         _check(
             "success given a good schedule", good_success, 1.0 - est.gamma, "at least 1 - gamma",
@@ -371,20 +378,14 @@ def complexity_sweep_checks() -> list[SuiteCheck]:
         batch = run_trials(
             ExperimentConfig(model="twolevel", target_q=q, epsilon=0.5, trials=40, master_seed=2030)
         )
-        check = mean_calls_check(batch, 0.10)
-        checks.append(replace(check, name=f"q={q:g} {check.name}"))
+        checks += mean_calls_checks(batch, 0.10, label=f"q={q:g} ")
     return checks
 
 
 def _accounting() -> list[SuiteCheck]:
-    cfg = ExperimentConfig(
-        model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0,
-        trials=50, master_seed=77,
-    )
-    batch, replay = run_trials(cfg), run_trials(cfg)
+    batch, replay = run_trials(ACCOUNTING_CONFIG), run_trials(ACCOUNTING_CONFIG)
     identical = all(a.to_dict() == b.to_dict() for a, b in zip(batch.records, replay.records))
-    return call_accounting_checks(batch) + [
-        mean_calls_check(batch, 0.10),
+    return call_accounting_checks(batch) + mean_calls_checks(batch, 0.10) + [
         _check("replay determinism", identical, 1.0, "byte-identical records", identical),
     ]
 
@@ -396,9 +397,10 @@ def _lemma10() -> list[SuiteCheck]:
 
 def _success_and_accounting() -> list[SuiteCheck]:
     batch = _q8_batch(master_seed=2027)
-    return [
-        success_check(batch, 0.70), *call_accounting_checks(batch), mean_calls_check(batch, 0.05)
-    ]
+    return (
+        success_checks(batch, 0.70) + call_accounting_checks(batch)
+        + mean_calls_checks(batch, 0.05)
+    )
 
 
 # suite name -> its checks on pinned seeds; the criterion_* suites are the acceptance criteria
@@ -419,7 +421,7 @@ SUITES = {
     "criterion_07_08": _success_and_accounting,
     **{f"criterion_09_{mode}": partial(robustness_checks, mode) for mode in CORRUPTION_MODES},
     "criterion_10": lambda: _lemma10() + tilt_checks(build_from_grid(16, 2)),
-    "criterion_11": lambda: [success_check(_q8_batch(master_seed=2029, boost_t=5), 0.85)],
+    "criterion_11": lambda: success_checks(_q8_batch(master_seed=2029, boost_t=5), 0.85),
     **{
         f"criterion_12_{model}": partial(sensitive_checks, model)
         for model in ("ising", "lowerbound")
