@@ -80,10 +80,36 @@ DEFAULT_LAMBDA = math.exp(-7.0)
 HEADLINE_RATE = 3.6
 
 
-def _check_case(case) -> None:
-    """The estimator's one case rule, checked before any knob is derived from it."""
-    if case not in ("I", "II"):
-        raise ValueError("case must be 'I' or 'II'")
+# each knob's one rule, (test, message); d and r size int64 offsets and arrays
+_INT64 = (lambda v: 1 <= v < 2 ** 63, "d and r must lie in [1, 2^63), got {name} = {value}")
+_RULES = {
+    "case": (lambda c: c in ("I", "II"), "case must be 'I' or 'II'"),
+    "gamma": (lambda g: 0.0 < g < 0.25, "gamma must lie in (0, 0.25)"),
+    "d": _INT64, "r": _INT64,
+    "n": (lambda n: n >= 1, "n must be at least 1"),
+    "lam": (lambda lam: 0.0 < lam < 1.0, "lambda must lie in (0, 1)"),
+}
+
+
+def _check_knobs(**knobs) -> None:
+    """Check each given knob against its rule in ``_RULES``, in order."""
+    for name, value in knobs.items():
+        test, message = _RULES[name]
+        if not test(value):
+            raise ValueError(message.format(name=name, value=value))
+
+
+def _case_lambda(case: Case, lam: float | None) -> float | None:
+    """lambda as ``case`` reads it: None in case I, and e^-7 when unset in case II."""
+    if case == "I":
+        return None
+    lam = DEFAULT_LAMBDA if lam is None else lam
+    _check_knobs(lam=lam)
+    return lam
+
+
+def _rho(gamma: float) -> float:
+    return 0.75 / (1.0 - gamma)
 
 
 def epsilon_tilde(epsilon: float) -> float:
@@ -137,13 +163,9 @@ def tau_rho(d: int, rho: float) -> TauResult:
 
     ``minimize_on_grid`` scans tau = 0 and 2048 log-spaced points over
     [1e-3, 64] and refines the best cell to 1e-9; at small d and rho the
-    minimum lies at tau = 0, where tau_rho(1, 0.5) = 4.  d must lie in
-    [1, 2^63), as in ``build_config``.
+    minimum lies at tau = 0, where tau_rho(1, 0.5) = 4.
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if d >= 2 ** 63:
-        raise ValueError("d must be below 2^63")
+    _check_knobs(d=d)
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     grid = np.concatenate(([0.0], np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))))
@@ -166,21 +188,12 @@ def min_m(
     lam: float | None = None,
 ) -> float:
     """Smallest admissible TPA rate per unit log-ratio for the given knobs."""
-    _check_case(case)
-    if not 0.0 < gamma < 0.25:
-        raise ValueError("gamma must lie in (0, 0.25)")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    rho = 0.75 / (1.0 - gamma)
-    tau = tau_rho(d, rho).value
+    _check_knobs(case=case, gamma=gamma, d=d, r=r, n=n)
+    lam = _case_lambda(case, lam)
+    tau = tau_rho(d, _rho(gamma)).value
     denom = good_schedule_threshold(gamma, r, epsilon_tilde(epsilon))
     scale = math.log(n)
-    if case == "II":
-        lam = DEFAULT_LAMBDA if lam is None else lam
-        if not 0.0 < lam < 1.0:
-            raise ValueError("lambda must lie in (0, 1)")
+    if lam is not None:
         denom += math.log1p(-lam)
         scale = 2.0 + math.log(n / lam)
     if denom <= 0.0:  # in case I, only when gamma r eps~^2 / 2 underflows
@@ -195,7 +208,8 @@ class EstimatorConfig:
     """Knobs for one schedule generation plus paired product run.
 
     k is the integer TPA run count; the effective rate m = k/d and
-    rho = 0.75/(1 - gamma) are derived from the stored knobs.
+    rho = 0.75/(1 - gamma) are derived from the stored knobs.  lam is stored
+    as the case reads it: None in case I, and e^-7 when unset in case II.
     """
 
     epsilon: float
@@ -208,17 +222,14 @@ class EstimatorConfig:
 
     def __post_init__(self):
         epsilon_tilde(self.epsilon)  # rejects an epsilon that is not positive and finite
-        if not 0.0 < self.gamma < 0.25:
-            raise ValueError("gamma must lie in (0, 0.25)")
-        if self.d < 1 or self.k < 1 or self.r < 1:
-            raise ValueError("d, k, r must be positive integers")
-        _check_case(self.case)
-        if self.case == "II" and not (self.lam is None or 0.0 < self.lam < 1.0):
-            raise ValueError("lambda must lie in (0, 1)")
+        _check_knobs(case=self.case, gamma=self.gamma, d=self.d, r=self.r)
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        object.__setattr__(self, "lam", _case_lambda(self.case, self.lam))
 
     @property
     def rho(self) -> float:
-        return 0.75 / (1.0 - self.gamma)
+        return _rho(self.gamma)
 
     @property
     def m(self) -> float:
@@ -273,30 +284,18 @@ def build_config(
     ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
     run so degenerate fixtures with n = 1 stay runnable; the effective rate
     m = k/d never drops below the target.  A given m must be positive and
-    finite, and so must m d.  d and r, set or derived, must lie in [1, 2^63):
-    the thinning offset and the PPE's arrays are sized in int64.
+    finite, and so must m d.  d and r, set or derived, must lie in [1, 2^63).
     """
-    if not n >= 1:
-        raise ValueError("n must be at least 1")
     if m is not None and not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
     d = DEFAULT_D if d is None else int(d)
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
     r = default_r(epsilon) if r is None else int(r)
-    if not (1 <= d < 2 ** 63 and 1 <= r < 2 ** 63):
-        raise ValueError(f"d and r must lie in [1, 2^63), got d = {d} and r = {r}")
-    if case == "I":
-        lam = None
-    elif lam is None:
-        lam = DEFAULT_LAMBDA
+    _check_knobs(case=case, n=n, gamma=gamma, d=d, r=r)
+    lam = _case_lambda(case, lam)
     if m is None:
-        headline = (
-            d == DEFAULT_D
-            and gamma == DEFAULT_GAMMA
-            and r >= default_r(epsilon)
-            and lam in (None, DEFAULT_LAMBDA)
-        )
-        if headline:
+        headline = d == DEFAULT_D and gamma == DEFAULT_GAMMA and lam in (None, DEFAULT_LAMBDA)
+        if headline and r >= default_r(epsilon):
             m = HEADLINE_RATE * (math.log(n) if case == "I" else 9.0 + math.log(n))
         else:
             m = min_m(d, gamma, r, epsilon, n, case, lam)
@@ -375,8 +374,7 @@ def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> Esti
     share of ln W and ln V is added in by two matrix-vector products, so the
     draws held at once never exceed one block, whatever ell is.
     """
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    _check_knobs(r=r)
     betas = sched.betas
     ell = sched.ell
     half_gaps = 0.5 * np.diff(betas)

@@ -359,7 +359,7 @@ class TestTau:
         assert "1.53" in lines[2]
 
     @pytest.mark.parametrize("argv,message", [
-        (("--d", "1", "0"), "d must be at least 1"),
+        (("--d", "1", "0"), "d and r must lie in [1, 2^63), got d = 0"),
         (("--rho", "1.5"), "rho must lie in (0, 1)"),
         (("--rho", "nan"), "rho must lie in (0, 1)"),
     ], ids=["d-0", "rho-1.5", "rho-nan"])

@@ -1,6 +1,7 @@
 """Estimator parameter selection and paired product pipeline checks."""
 
 import copy
+import inspect
 import json
 import math
 import os
@@ -81,14 +82,6 @@ class TestTauRho:
     def test_matches_published_constants(self, d):
         checks = tau_checks(d)
         assert all(check.passed for check in checks), checks
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tau_rho(0, 0.5)
-        with pytest.raises(ValueError):
-            tau_rho(4, 1.0)
-        with pytest.raises(ValueError, match=r"d must be below 2\^63"):
-            tau_rho(2 ** 63, 0.5)
 
     def test_decreasing_in_d(self):
         rho = 75.0 / 76.0
@@ -207,23 +200,6 @@ class TestMinM:
         with pytest.raises(ValueError):
             min_m(64, 0.24, 1, 0.001, 10.0, "II", math.exp(-7))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            min_m(64, 0.3, 8, 1.0, 10.0, "I")
-        with pytest.raises(ValueError):
-            min_m(64, 0.24, 8, 1.0, 10.0, "III")
-
-    @pytest.mark.parametrize("bad,message", [
-        (dict(n=0.5), "n must be at least 1"),
-        (dict(r=0), "r must be at least 1"),
-        (dict(lam=0.0), r"lambda must lie in \(0, 1\)"),
-        (dict(lam=1.0), r"lambda must lie in \(0, 1\)"),
-    ], ids=["n-below-one", "r-zero", "lambda-zero", "lambda-one"])
-    def test_rejects_knobs_out_of_range(self, bad, message):
-        knobs = dict(d=64, gamma=0.24, r=8, epsilon=1.0, n=10.0, case="II") | bad
-        with pytest.raises(ValueError, match=message):
-            min_m(**knobs)
-
     def test_case_one_threshold_that_underflows_is_infeasible(self):
         # gamma r eps~^2 / 2 rounds to 0: the rate would divide by zero
         with pytest.raises(ValueError, match="infeasible parameters"):
@@ -232,14 +208,79 @@ class TestMinM:
     def test_case_two_defaults_lambda_to_e_minus_7(self):
         knobs = (64, 0.24, 8, 1.0, 10.0, "II")
         assert min_m(*knobs) == min_m(*knobs, math.exp(-7))
+        assert EstimatorConfig(1.0, 0.24, 64, 64, 8, "II").lam == math.exp(-7)
+
+
+# knobs every entry point below accepts, and what each entry point is called with
+KNOBS = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, n=10.0, case="II", lam=0.01, rho=0.5)
+ENTRY_POINTS = {
+    "tau_rho": tau_rho,
+    "min_m": min_m,
+    "build_config": build_config,
+    "EstimatorConfig": EstimatorConfig,
+    "paired_product": lambda r: paired_product(
+        SamplingOracle(two_level_instance(2.0)), Schedule([0.0, 1.0]), r, np.random.default_rng(0)
+    ),
+}
+
+
+def _call(name: str, knobs: dict):
+    f = ENTRY_POINTS[name]
+    return f(**{k: v for k, v in knobs.items() if k in inspect.signature(f).parameters})
+
+
+def _refusal(name: str, knobs: dict) -> str | None:
+    try:
+        _call(name, knobs)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+INT64 = "d and r must lie in [1, 2^63), got {} = {}".format
+BIG = {2 ** 63: "2^63", 10 ** 400: "10^400"}
+
+
+def _rule(knob, value, message):
+    return pytest.param(knob, value, message, id=f"{knob}-{BIG.get(value, value)}")
+
+
+# one row per refused knob value, with the one message every entry point taking it raises
+RULE_ROWS = [
+    *(_rule("gamma", gamma, "gamma must lie in (0, 0.25)") for gamma in (0.0, 0.25, math.nan)),
+    *(_rule(knob, v, INT64(knob, v)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400)),
+    *(_rule("n", n, "n must be at least 1") for n in (0.5, 0.0, math.nan)),
+    _rule("case", "III", "case must be 'I' or 'II'"),
+    *(_rule("lam", lam, "lambda must lie in (0, 1)") for lam in (0.0, 1.0, -0.5, math.nan)),
+    *(_rule("epsilon", eps, "epsilon must be positive and finite") for eps in (0.0, math.nan)),
+    _rule("k", 0, "k must be at least 1"),
+    _rule("rho", 1.0, "rho must lie in (0, 1)"),
+]
+
+
+class TestKnobRules:
+    @pytest.mark.parametrize("knob,value,message", RULE_ROWS)
+    def test_one_message_at_every_entry_point(self, knob, value, message):
+        # the knobs are case II, so lambda is read; every other knob keeps its KNOBS value
+        takers = [name for name, f in ENTRY_POINTS.items() if knob in inspect.signature(f).parameters]
+        assert takers
+        assert {name: _refusal(name, KNOBS | {knob: value}) for name in takers} == dict.fromkeys(
+            takers, message
+        )
+
+    def test_every_entry_point_accepts_the_base_knobs(self):
+        assert all(_refusal(name, KNOBS) is None for name in ENTRY_POINTS)
+
+    @pytest.mark.parametrize("lam", [5.0, 0.0, math.nan, 0.01])
+    def test_case_one_reads_no_lambda(self, lam):
+        knobs = KNOBS | dict(case="I", lam=lam)
+        built = _call("build_config", knobs)
+        assert built == _call("build_config", knobs | dict(lam=None)) and built.lam is None
+        assert _call("EstimatorConfig", knobs).lam is None
+        assert _call("min_m", knobs) == _call("min_m", knobs | dict(lam=None))
 
 
 class TestConfig:
-    @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5, math.nan])
-    def test_case_two_rejects_lambda_outside_the_unit_interval(self, lam):
-        with pytest.raises(ValueError, match=r"lambda must lie in \(0, 1\)"):
-            EstimatorConfig(epsilon=0.5, gamma=0.24, d=1, k=1, r=1, case="II", lam=lam)
-
     def test_default_case_one_example(self):
         cfg = build_config(1.0, math.e ** 2, "I")
         assert cfg.r == 24
@@ -273,26 +314,12 @@ class TestConfig:
         cfg = build_config(0.5, 1.0, "I")
         assert cfg.k == 1 and cfg.m == 1 / 64
 
-    def test_validation(self):
-        valid = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, case="I")
-        bads = (dict(epsilon=0.0), dict(epsilon=math.nan), dict(gamma=0.3), dict(k=0), dict(case="III"))
-        for bad in bads:
-            with pytest.raises(ValueError):
-                EstimatorConfig(**{**valid, **bad})
-
     def test_infinite_epsilon_is_rejected(self):
         valid = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, case="I")
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             EstimatorConfig(**{**valid, "epsilon": math.inf})
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             build_config(math.inf, 10.0, "I", r=2, m=1.0)
-
-    def test_build_config_validates_n_and_case(self):
-        for n in (0.5, 0.0, -3.0, math.nan):
-            with pytest.raises(ValueError, match="n must be at least 1"):
-                build_config(0.5, n, "I")
-        with pytest.raises(ValueError, match="case must be 'I' or 'II'"):
-            build_config(0.5, 10.0, "III")
 
     @pytest.mark.parametrize("knobs", [{}, {"d": 4}], ids=["headline", "min-rate"])
     def test_unknown_case_is_refused_before_tau_rho_runs(self, monkeypatch, knobs):
@@ -377,7 +404,7 @@ class TestPairedProduct:
 
     def test_rejects_r_below_one(self):
         oracle = SamplingOracle(two_level_instance(2.0))
-        with pytest.raises(ValueError, match="r must be at least 1"):
+        with pytest.raises(ValueError, match=r"d and r must lie in \[1, 2\^63\), got r = 0"):
             paired_product(oracle, Schedule([0.0, 1.0]), 0, np.random.default_rng(0))
         assert oracle.call_count == 0
 

@@ -20,6 +20,8 @@ A second column hashes the same config run through the command line,
 ``main(["trials", ...])``, from the ndjson it writes; it must equal the first.
 Each config field that is set is passed by the ``trials`` flag whose dest is
 that field (floats as ``repr``), so a field with no flag stops the tool.
+``replay`` yields both record lists of every row; ``tests/test_records.py``
+runs it at 2 trials and pins each record's integer counts.
 """
 
 from __future__ import annotations
@@ -72,23 +74,28 @@ def _cli_records(cfg, out: Path) -> list[dict]:
     return [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
 
 
+def replay(seed: int, trials: int):
+    """Yield (name, API record dicts, CLI record dicts) for each row, run serially."""
+    use_checkout_source()
+    from gibbsratio.harness import run_trials
+
+    rows = [(workload, trials) for workload in WORKLOADS.values()]
+    rows += [(BELOW_FLOOR, None), (SPLIT_ROWS, None)]
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, row_trials in rows:
+            cfg = experiment_config(workload, seed, Path(tmp), trials=row_trials)
+            cfg = dataclasses.replace(cfg, workers=1)
+            api = [rec.to_dict() for rec in run_trials(cfg).records]
+            yield workload.name, api, _cli_records(cfg, Path(tmp) / "records.ndjson")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=5, help="master seed (default 5)")
     parser.add_argument("--trials", type=int, default=20, help="trials per workload (default 20)")
     args = parser.parse_args(argv)
-    use_checkout_source()
-    from gibbsratio.harness import run_trials
-
-    rows = [(workload, args.trials) for workload in WORKLOADS.values()]
-    rows += [(BELOW_FLOOR, None), (SPLIT_ROWS, None)]
-    with tempfile.TemporaryDirectory() as tmp:
-        for workload, trials in rows:
-            cfg = experiment_config(workload, args.seed, Path(tmp), trials=trials)
-            cfg = dataclasses.replace(cfg, workers=1)
-            api = _digest([rec.to_dict() for rec in run_trials(cfg).records])
-            cli = _digest(_cli_records(cfg, Path(tmp) / "records.ndjson"))
-            print(f"{workload.name:<10} {api} {cli}")
+    for name, api, cli in replay(args.seed, args.trials):
+        print(f"{name:<10} {_digest(api)} {_digest(cli)}")
     return 0
 
 
