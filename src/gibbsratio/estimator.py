@@ -38,7 +38,7 @@ The trial path needs no scipy: ``paired_product`` averages with
 ``instance.logsumexp``, a plain max-shifted reduction without scipy's fixed
 cost of about 0.1 ms per call.  scipy is imported only inside the functions
 that need it -- the regularized gamma behind ``tau_rho`` and the Brent
-refinement -- which the headline config never calls, so ``import gibbsratio``
+refinement -- which the headline config never calls, so importing this module
 does not pay for ``scipy.special``.
 """
 
@@ -81,11 +81,15 @@ HEADLINE_RATE = 3.6
 
 
 # each knob's one rule, (test, message); d and r size int64 offsets and arrays
-_INT64 = (lambda v: 1 <= v < 2 ** 63, "d and r must lie in [1, 2^63), got {name} = {value}")
+_INT64 = (
+    lambda v: isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63,
+    "d and r must be integers in [1, 2^63), got {name} = {value}",
+)
 _RULES = {
     "case": (lambda c: c in ("I", "II"), "case must be 'I' or 'II'"),
     "gamma": (lambda g: 0.0 < g < 0.25, "gamma must lie in (0, 0.25)"),
     "d": _INT64, "r": _INT64,
+    "k": (lambda k: isinstance(k, (int, np.integer)) and k >= 1, "k must be an integer of at least 1"),
     "n": (lambda n: n >= 1, "n must be at least 1"),
     "lam": (lambda lam: 0.0 < lam < 1.0, "lambda must lie in (0, 1)"),
 }
@@ -136,7 +140,7 @@ def minimize_on_grid(f, grid: np.ndarray, xatol: float) -> tuple[float, float]:
     The scan finds the basin without assuming ``f`` unimodal (``f`` takes the
     grid array and a scalar alike); bounded Brent refines that cell to ``xatol``.
     """
-    from scipy.optimize import minimize_scalar  # local: keeps `import gibbsratio` light
+    from scipy.optimize import minimize_scalar  # local: keeps this module's import light
 
     values = f(grid)
     i = int(values.argmin())
@@ -222,9 +226,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         epsilon_tilde(self.epsilon)  # rejects an epsilon that is not positive and finite
-        _check_knobs(case=self.case, gamma=self.gamma, d=self.d, r=self.r)
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        _check_knobs(case=self.case, gamma=self.gamma, d=self.d, r=self.r, k=self.k)
         object.__setattr__(self, "lam", _case_lambda(self.case, self.lam))
 
     @property
@@ -284,13 +286,14 @@ def build_config(
     ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
     run so degenerate fixtures with n = 1 stay runnable; the effective rate
     m = k/d never drops below the target.  A given m must be positive and
-    finite, and so must m d.  d and r, set or derived, must lie in [1, 2^63).
+    finite, and so must m d.  d and r, set or derived, must be integers in
+    [1, 2^63).
     """
     if m is not None and not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
-    d = DEFAULT_D if d is None else int(d)
+    d = DEFAULT_D if d is None else d
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
-    r = default_r(epsilon) if r is None else int(r)
+    r = default_r(epsilon) if r is None else r
     _check_knobs(case=case, n=n, gamma=gamma, d=d, r=r)
     lam = _case_lambda(case, lam)
     if m is None:

@@ -51,6 +51,8 @@ __all__ = [
     "TrialBatch",
     "MODELS",
     "build_model_instance",
+    "resolve_estimator_config",
+    "trial_rng",
     "run_trials",
     "wilson_interval",
     "write_records",
@@ -85,6 +87,10 @@ MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings
 # q = 1e6 (2.1e9 points) is refused, and so are 1e9 trials, a boost of 1e8 and
 # 1,000 trials on 1,000 workers.
 WORK_BUDGET = 2 ** 28
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        for name, least in (("trials", 1), ("workers", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}")
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
-        if self.boost_t is not None and (self.boost_t < 1 or self.boost_t % 2 == 0):
+        t = self.boost_t
+        if t is not None and not (_is_int(t) and t >= 1 and t % 2 == 1):
             raise ValueError("boost_t must be a positive odd integer")
         if self.model in ("twolevel", "lowerbound") and (self.beta_min, self.beta_max) != (None, None):
             raise ValueError(f"{self.model} model fixes its own beta window; drop beta_min/beta_max")

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 from dataclasses import fields
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from gibbsratio import cli, harness
 from gibbsratio.cli import _experiment_config, build_parser, main
 from gibbsratio.harness import ExperimentConfig
-from gibbsratio.instance import CountInstance, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -120,7 +120,168 @@ class TestConfigFlags:
         assert _experiment_config(args) == ExperimentConfig(**runs_one)
 
 
+TRIAL = ("trials", "--trials", "1")
+
+
+def _rows(*rows):
+    return [pytest.param(argv, message, id=test_id) for test_id, argv, message in rows]
+
+
+# Usage errors that exit 2 with an empty stdout and the one stderr line
+# "gibbsratio <command>: error: <message>", in sections, each run by the test
+# named for it.  A "*" in a message stands for any text on that line, and
+# "{name}" in argv for the path of the file ``usage_files`` writes for it.
+ONE_LINE_ERRORS = {
+    "run-setting": _rows(
+        ("tv-budget", ("trials", "--tv-budget", "-0.1"), "tv_budget must lie in [0, 1)"),
+        ("boost", ("trials", "--boost", "2"), "boost_t must be a positive odd integer"),
+        ("seed-negative", ("trials", "--seed", "-1"), "master_seed must be an integer of at least 0"),
+    ),
+    "energy": _rows(
+        ("0.5-2", ("trials", "--model", "synthetic", "--instance", "{energy_half}", "--trials", "2"),
+         "support has energies inside (0, 1)*"),
+        ("0-0.5-2",
+         ("trials", "--model", "synthetic", "--instance", "{energy_zero_half}", "--trials", "2"),
+         "support has energies inside (0, 1)*"),
+    ),
+    "too-large": _rows(
+        ("eps-1e-9", (*TRIAL, "--eps", "1e-9"), "*over the work budget*"),
+        ("r-1e8", (*TRIAL, "--r", "100000000"), "*over the work budget*"),
+        ("d-1e9", (*TRIAL, "--d", "1000000000"), "*over the work budget*"),
+        ("eps-1e-17", (*TRIAL, "--eps", "1e-17"), "*epsilon 1e-17 is below float resolution*"),
+        ("eps-1e-300", (*TRIAL, "--eps", "1e-300"), "*epsilon 1e-300 is below float resolution*"),
+        ("d-2^63", (*TRIAL, "--d", str(2 ** 63)), "*d and r must be integers in [1, 2^63)*"),
+        ("m-1e308", (*TRIAL, "--m", "1e308"), "*the TPA run count m d must be finite*"),
+        ("k-over-a-tiny-window",
+         (*TRIAL, "--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"),
+         "*over the work budget*"),
+        ("trials-1e9", (*TRIAL, "--trials", "1000000000"), "*over the work budget*"),
+        ("boost-1e8", (*TRIAL, "--boost", "100000001"), "*over the work budget*"),
+        ("workers-1000", (*TRIAL, "--trials", "1000", "--workers", "1000"), "*over the work budget*"),
+    ),
+    "model": _rows(
+        ("ising-window", (*TRIAL, "--model", "ising", "--graph", "{c4}", "--beta-max", "-1"),
+         "*beta_max must exceed beta_min*"),
+        ("colorings-window", (*TRIAL, "--model", "colorings", "--graph", "{c4}", "--beta-min", "50"),
+         "*beta_max must exceed beta_min*"),
+        ("missing-graph", (*TRIAL, "--model", "ising", "--graph", "{missing}"),
+         "*No such file or directory*"),
+        ("missing-instance", (*TRIAL, "--model", "synthetic", "--instance", "{missing}"),
+         "*No such file or directory*"),
+        ("no-instance", (*TRIAL, "--model", "synthetic"), "*synthetic model needs instance_path*"),
+        ("colors-1", (*TRIAL, "--model", "colorings", "--graph", "{c4}", "--colors", "1"),
+         "*need at least two colors*"),
+        ("n-factors-1", (*TRIAL, "--model", "lowerbound", "--n-factors", "1"),
+         "*n_factors must be at least 2 for a positive window*"),
+        ("m-grid-0", (*TRIAL, "--model", "lowerbound", "--m-grid", "0"),
+         "*n_factors and m_grid must be positive integers*"),
+        ("n-factors-1e9", (*TRIAL, "--model", "lowerbound", "--n-factors", "1000000000"),
+         "*n_factors must be at most 1023 and m_grid at most 2^52*"),
+        ("window-reversed",
+         (*TRIAL, "--model", "ising", "--graph", "{c4}", "--beta-min", "2", "--beta-max", "1"),
+         "*beta_max must exceed beta_min*"),
+        ("window-nan", (*TRIAL, "--model", "ising", "--graph", "{c4}", "--beta-max", "nan"),
+         "*temperature bounds must be finite*"),
+        ("instance-no-support", (*TRIAL, "--model", "synthetic", "--instance", "{no_support}"),
+         "*instance has no 'support' key*"),
+        ("instance-list", (*TRIAL, "--model", "synthetic", "--instance", "{list}"),
+         "*an instance must be a JSON object*"),
+        ("instance-int-support", (*TRIAL, "--model", "synthetic", "--instance", "{int_support}"),
+         "*instance 'support' must be a list of [energy, log-count] pairs*"),
+        ("instance-null-beta-min", (*TRIAL, "--model", "synthetic", "--instance", "{null_beta}"),
+         "*instance 'beta_min' must be a number, got null*"),
+        ("graph-three-values", (*TRIAL, "--model", "ising", "--graph", "{three}"),
+         "*three.txt line 2: expected 'u v'*"),
+        ("graph-not-a-number", (*TRIAL, "--model", "ising", "--graph", "{letter}"),
+         "*letter.txt line 2: expected 'u v'*"),
+        ("enumeration-budget", ("estimate", "--model", "colorings", "--graph", "{grid4}"),
+         "3-colorings on 16 vertices has 43046721 states, above the enumeration budget 16777216"),
+    ),
+    "knob-range": _rows(
+        ("m=-1", (*TRIAL, "--m", "-1"), "m must be positive and finite"),
+        ("m=0", (*TRIAL, "--m", "0"), "m must be positive and finite"),
+        ("m=nan", (*TRIAL, "--m", "nan"), "m must be positive and finite"),
+        ("m=inf", (*TRIAL, "--m", "inf"), "m must be positive and finite"),
+        ("eps=nan", (*TRIAL, "--eps", "nan"), "epsilon must be positive and finite"),
+        ("eps=inf", (*TRIAL, "--eps", "inf"), "epsilon must be positive and finite"),
+        ("q=nan", (*TRIAL, "--q", "nan"), "target_q must be positive"),
+        # checked with the config, before the model is built
+        ("fixed-window", (*TRIAL, "--model", "twolevel", "--beta-min", "0.1"),
+         "twolevel model fixes its own beta window; drop beta_min/beta_max"),
+        ("schedule-m=-1", ("schedule", "--m", "-1"), "m must be positive and finite"),
+    ),
+    # the tau row for d = 1 is computed, but nothing is printed before the error
+    "tau": _rows(
+        ("d-0", ("tau", "--d", "1", "0"), "d and r must be integers in [1, 2^63), got d = 0"),
+        ("rho-1.5", ("tau", "--rho", "1.5"), "rho must lie in (0, 1)"),
+        ("rho-nan", ("tau", "--rho", "nan"), "rho must lie in (0, 1)"),
+    ),
+    "lowerbound": _rows(
+        ("grid-capacity", ("lowerbound", "--q-bar", "500", "--n", "2"),
+         "grid capacity exceeded: N=38 > m(n-1)=21; increase n"),
+        ("one-factor", ("lowerbound", "--n-factors", "1"),
+         "n_factors must be at least 2 for a positive window"),
+    ),
+}
+
+
+@pytest.fixture
+def usage_files(tmp_path, grid4_graph):
+    """Paths by name for the ``{name}`` fields of ``ONE_LINE_ERRORS``; "missing" is not written."""
+    texts = {
+        "c4": "0 1\n1 2\n2 3\n3 0\n", "no_support": "{}", "list": "[]",
+        "three": "0 1\n0 1 2\n", "letter": "0 1\n0 x\n",
+        "int_support": '{"support": 5, "beta_min": 0, "beta_max": 1}',
+        "null_beta": '{"support": [[0, 0], [1, 0]], "beta_min": null, "beta_max": 1}',
+        "energy_half": '{"support": [[0.5, 0], [2, 0]], "beta_min": 0, "beta_max": 1}',
+        "energy_zero_half": '{"support": [[0, 0], [0.5, 0], [2, 0]], "beta_min": 0, "beta_max": 1}',
+    }
+    paths = {"missing": tmp_path / "missing", "grid4": grid4_graph}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    return paths
+
+
+def exits_2_with_one_line(capsys, paths, argv, message, at_once=False):
+    """Run the CLI on ``argv``: it must exit 2, within 1 s if ``at_once``, with one error line."""
+    argv = [arg.format(**paths) for arg in argv]
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert not at_once or time.perf_counter() - started < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = re.escape(f"gibbsratio {argv[0]}: error: {message}").replace(r"\*", ".*")
+    assert re.fullmatch(line + "\n", captured.err), captured.err
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["run-setting"])
+    def test_rejected_run_setting_exits_2_with_one_line(self, capsys, usage_files, argv, message):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
+
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["energy"])
+    def test_energy_inside_the_unit_interval_exits_2_under_any_case(
+        self, capsys, usage_files, argv, message
+    ):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
+
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["too-large"])
+    def test_knob_too_large_for_a_trial_exits_2_with_one_line_at_once(
+        self, capsys, usage_files, argv, message
+    ):
+        exits_2_with_one_line(capsys, usage_files, argv, message, at_once=True)
+
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["model"])
+    def test_model_it_cannot_build_exits_2_with_one_line(self, capsys, usage_files, argv, message):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
+
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["knob-range"])
+    def test_knob_out_of_range_stops_before_any_trial(self, capsys, usage_files, argv, message):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
+
     @pytest.mark.parametrize("argv", [
         ("estimate", "--trials", "3"),
         ("estimate", "--workers", "2"),
@@ -135,19 +296,6 @@ class TestUsageErrors:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--tv-budget", "-0.1", "tv_budget must lie in [0, 1)"),
-        ("--boost", "2", "boost_t must be a positive odd integer"),
-        ("--seed", "-1", "master_seed must be non-negative"),
-    ], ids=["tv-budget", "boost", "seed-negative"])
-    def test_rejected_run_setting_exits_2_with_one_line(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", flag, value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gibbsratio trials: error: {message}\n"
 
     @pytest.mark.parametrize("argv,out", [
         (("trials", "--trials", "3"), "missing/x.ndjson"),
@@ -167,31 +315,6 @@ class TestUsageErrors:
         assert captured.err.startswith(f"gibbsratio {argv[0]}: error: [Errno ")
         assert captured.err.count("\n") == 1
 
-    def test_model_over_the_enumeration_budget_exits_2_with_one_line(self, grid4_graph, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--model", "colorings", "--graph", str(grid4_graph)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "gibbsratio estimate: error: 3-colorings on 16 vertices has 43046721 states, "
-            "above the enumeration budget 16777216\n"
-        )
-
-    @pytest.mark.parametrize("energies", [(0.5, 2.0), (0.0, 0.5, 2.0)], ids=["0.5-2", "0-0.5-2"])
-    def test_energy_inside_the_unit_interval_exits_2_under_any_case(
-        self, tmp_path, capsys, energies
-    ):
-        path = tmp_path / "inst.json"
-        save_instance(CountInstance([(h, 0.0) for h in energies], 0.0, 1.0), path)
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", "--model", "synthetic", "--instance", str(path), "--trials", "2"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("gibbsratio trials: error: support has energies inside (0, 1)")
-        assert captured.err.count("\n") == 1
-
     def test_trial_over_the_work_budget_exits_2_with_one_line(self, capsys, monkeypatch):
         # k q = 8 x 3 = 24 expected TPA points, 48 floats, against a budget of 20
         monkeypatch.setattr(harness, "WORK_BUDGET", 20)
@@ -201,84 +324,6 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("gibbsratio trials: error: ")
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv,message", [
-        (("--eps", "1e-9"), "over the work budget"),
-        (("--r", "100000000"), "over the work budget"),
-        (("--d", "1000000000"), "over the work budget"),
-        (("--eps", "1e-17"), "epsilon 1e-17 is below float resolution"),
-        (("--eps", "1e-300"), "epsilon 1e-300 is below float resolution"),
-        (("--d", str(2 ** 63)), "d and r must lie in [1, 2^63)"),
-        (("--m", "1e308"), "the TPA run count m d must be finite"),
-        (("--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"), "over the work budget"),
-        (("--trials", "1000000000"), "over the work budget"),
-        (("--boost", "100000001"), "over the work budget"),
-        (("--trials", "1000", "--workers", "1000"), "over the work budget"),
-    ], ids=["eps-1e-9", "r-1e8", "d-1e9", "eps-1e-17", "eps-1e-300", "d-2^63", "m-1e308",
-            "k-over-a-tiny-window", "trials-1e9", "boost-1e8", "workers-1000"])
-    def test_knob_too_large_for_a_trial_exits_2_with_one_line_at_once(self, capsys, argv, message):
-        started = time.perf_counter()
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", "--trials", "1", *argv])
-        assert time.perf_counter() - started < 1.0
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("gibbsratio trials: error: ")
-        assert message in captured.err
-        assert captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize("argv,message", [
-        (("--model", "ising", "--graph", "{c4}", "--beta-max", "-1"),
-         "beta_max must exceed beta_min"),
-        (("--model", "colorings", "--graph", "{c4}", "--beta-min", "50"),
-         "beta_max must exceed beta_min"),
-        (("--model", "ising", "--graph", "{missing}"), "No such file or directory"),
-        (("--model", "synthetic", "--instance", "{missing}"), "No such file or directory"),
-        (("--model", "synthetic",), "synthetic model needs instance_path"),
-        (("--model", "colorings", "--graph", "{c4}", "--colors", "1"), "need at least two colors"),
-        (("--model", "lowerbound", "--n-factors", "1"),
-         "n_factors must be at least 2 for a positive window"),
-        (("--model", "lowerbound", "--m-grid", "0"),
-         "n_factors and m_grid must be positive integers"),
-        (("--model", "lowerbound", "--n-factors", "1000000000"),
-         "n_factors must be at most 1023 and m_grid at most 2^52"),
-        (("--model", "ising", "--graph", "{c4}", "--beta-min", "2", "--beta-max", "1"),
-         "beta_max must exceed beta_min"),
-        (("--model", "ising", "--graph", "{c4}", "--beta-max", "nan"),
-         "temperature bounds must be finite"),
-        (("--model", "synthetic", "--instance", "{no_support}"), "instance has no 'support' key"),
-        (("--model", "synthetic", "--instance", "{list}"), "an instance must be a JSON object"),
-        (("--model", "synthetic", "--instance", "{int_support}"),
-         "instance 'support' must be a list of [energy, log-count] pairs"),
-        (("--model", "synthetic", "--instance", "{null_beta}"),
-         "instance 'beta_min' must be a number, got null"),
-        (("--model", "ising", "--graph", "{three}"), "three.txt line 2: expected 'u v'"),
-        (("--model", "ising", "--graph", "{letter}"), "letter.txt line 2: expected 'u v'"),
-    ], ids=["ising-window", "colorings-window", "missing-graph", "missing-instance",
-            "no-instance", "colors-1", "n-factors-1", "m-grid-0", "n-factors-1e9",
-            "window-reversed", "window-nan", "instance-no-support", "instance-list",
-            "instance-int-support", "instance-null-beta-min", "graph-three-values",
-            "graph-not-a-number"])
-    def test_model_it_cannot_build_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
-        files = {
-            "c4": "0 1\n1 2\n2 3\n3 0\n", "no_support": "{}", "list": "[]",
-            "three": "0 1\n0 1 2\n", "letter": "0 1\n0 x\n",
-            "int_support": '{"support": 5, "beta_min": 0, "beta_max": 1}',
-            "null_beta": '{"support": [[0, 0], [1, 0]], "beta_min": null, "beta_max": 1}',
-        }
-        paths = {"missing": tmp_path / "missing"}
-        for name, text in files.items():
-            paths[name] = tmp_path / f"{name}.txt"
-            paths[name].write_text(text)
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", "--trials", "1", *(arg.format(**paths) for arg in argv)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("gibbsratio trials: error: ")
-        assert message in captured.err
         assert captured.err.count("\n") == 1
 
     def test_knob_the_model_does_not_read_is_ignored(self, capsys):
@@ -295,44 +340,6 @@ class TestUsageErrors:
         monkeypatch.setattr(harness, "estimate", fail)
         with pytest.raises(ValueError, match="inside a trial"):
             main(["trials", "--trials", "1"])
-
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--m", "-1", "m must be positive and finite"),
-        ("--m", "0", "m must be positive and finite"),
-        ("--m", "nan", "m must be positive and finite"),
-        ("--m", "inf", "m must be positive and finite"),
-        ("--eps", "nan", "epsilon must be positive and finite"),
-        ("--eps", "inf", "epsilon must be positive and finite"),
-        ("--q", "nan", "target_q must be positive"),
-    ], ids=["m=-1", "m=0", "m=nan", "m=inf", "eps=nan", "eps=inf", "q=nan"])
-    def test_knob_out_of_range_stops_before_any_trial(self, capsys, flag, value, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", "--trials", "1", flag, value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gibbsratio trials: error: {message}\n"
-
-    @pytest.mark.parametrize("argv,message", [
-        (("--model", "twolevel", "--beta-min", "0.1"),
-         "twolevel model fixes its own beta window; drop beta_min/beta_max"),
-    ], ids=["fixed-window"])
-    def test_model_knob_out_of_range_exits_2_with_one_line(self, capsys, argv, message):
-        # checked with the config, before the model is built
-        with pytest.raises(SystemExit) as exc:
-            main(["trials", "--trials", "1", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gibbsratio trials: error: {message}\n"
-
-    def test_schedule_knob_out_of_range_exits_2_with_one_line(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["schedule", "--m", "-1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "gibbsratio schedule: error: m must be positive and finite\n"
 
 
 class TestSchedule:
@@ -358,19 +365,9 @@ class TestTau:
         assert "9.90" in lines[1]
         assert "1.53" in lines[2]
 
-    @pytest.mark.parametrize("argv,message", [
-        (("--d", "1", "0"), "d and r must lie in [1, 2^63), got d = 0"),
-        (("--rho", "1.5"), "rho must lie in (0, 1)"),
-        (("--rho", "nan"), "rho must lie in (0, 1)"),
-    ], ids=["d-0", "rho-1.5", "rho-nan"])
-    def test_bad_argument_exits_2_with_one_line(self, capsys, argv, message):
-        # the row for d = 1 is computed, but nothing is printed before the error
-        with pytest.raises(SystemExit) as exc:
-            main(["tau", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gibbsratio tau: error: {message}\n"
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["tau"])
+    def test_bad_argument_exits_2_with_one_line(self, capsys, usage_files, argv, message):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
 
 
 class TestLowerbound:
@@ -391,17 +388,9 @@ class TestLowerbound:
         assert lines[0] == "suite lemma10 N=16 m=2: PASS"
         assert lines[1].startswith("  [PASS] N=16 m=2 log-ratio sandwich: observed 103.972")
 
-    @pytest.mark.parametrize("argv,message", [
-        (("--q-bar", "500", "--n", "2"), "grid capacity exceeded: N=38 > m(n-1)=21; increase n"),
-        (("--n-factors", "1"), "n_factors must be at least 2 for a positive window"),
-    ], ids=["grid-capacity", "one-factor"])
-    def test_instance_it_cannot_build_exits_2_with_one_line(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["lowerbound", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gibbsratio lowerbound: error: {message}\n"
+    @pytest.mark.parametrize("argv,message", ONE_LINE_ERRORS["lowerbound"])
+    def test_instance_it_cannot_build_exits_2_with_one_line(self, capsys, usage_files, argv, message):
+        exits_2_with_one_line(capsys, usage_files, argv, message)
 
     def test_failing_inequality_exits_2(self, capsys):
         # two factors: sensitivity^2/curvature 1/18 stays below (N/4-1)^2 = 1/4

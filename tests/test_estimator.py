@@ -237,7 +237,7 @@ def _refusal(name: str, knobs: dict) -> str | None:
     return None
 
 
-INT64 = "d and r must lie in [1, 2^63), got {} = {}".format
+INT64 = "d and r must be integers in [1, 2^63), got {} = {}".format
 BIG = {2 ** 63: "2^63", 10 ** 400: "10^400"}
 
 
@@ -248,12 +248,12 @@ def _rule(knob, value, message):
 # one row per refused knob value, with the one message every entry point taking it raises
 RULE_ROWS = [
     *(_rule("gamma", gamma, "gamma must lie in (0, 0.25)") for gamma in (0.0, 0.25, math.nan)),
-    *(_rule(knob, v, INT64(knob, v)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400)),
+    *(_rule(knob, v, INT64(knob, v)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400, 2.9, 8.0)),
     *(_rule("n", n, "n must be at least 1") for n in (0.5, 0.0, math.nan)),
     _rule("case", "III", "case must be 'I' or 'II'"),
     *(_rule("lam", lam, "lambda must lie in (0, 1)") for lam in (0.0, 1.0, -0.5, math.nan)),
     *(_rule("epsilon", eps, "epsilon must be positive and finite") for eps in (0.0, math.nan)),
-    _rule("k", 0, "k must be at least 1"),
+    *(_rule("k", k, "k must be an integer of at least 1") for k in (0, 10.5)),
     _rule("rho", 1.0, "rho must lie in (0, 1)"),
 ]
 
@@ -270,6 +270,11 @@ class TestKnobRules:
 
     def test_every_entry_point_accepts_the_base_knobs(self):
         assert all(_refusal(name, KNOBS) is None for name in ENTRY_POINTS)
+
+    def test_numpy_integers_pass_the_integer_rules(self):
+        knobs = KNOBS | dict(d=np.int64(64), k=np.int64(64), r=np.int64(8))
+        assert all(_refusal(name, knobs) is None for name in ENTRY_POINTS)
+        assert _call("build_config", knobs) == _call("build_config", KNOBS)
 
     @pytest.mark.parametrize("lam", [5.0, 0.0, math.nan, 0.01])
     def test_case_one_reads_no_lambda(self, lam):
@@ -337,7 +342,7 @@ class TestConfig:
     ], ids=["d-2^63", "d-huge", "r-huge", "r-2^63", "derived-r", "d-0"])
     def test_d_and_r_must_fit_an_int64(self, knobs):
         knobs = dict(epsilon=0.5, n=10.0, case="I") | knobs
-        with pytest.raises(ValueError, match=r"d and r must lie in \[1, 2\^63\)"):
+        with pytest.raises(ValueError, match=r"d and r must be integers in \[1, 2\^63\)"):
             build_config(**knobs)
 
     def test_largest_stride_it_takes(self):
@@ -404,7 +409,7 @@ class TestPairedProduct:
 
     def test_rejects_r_below_one(self):
         oracle = SamplingOracle(two_level_instance(2.0))
-        with pytest.raises(ValueError, match=r"d and r must lie in \[1, 2\^63\), got r = 0"):
+        with pytest.raises(ValueError, match=r"d and r must be integers in \[1, 2\^63\), got r = 0"):
             paired_product(oracle, Schedule([0.0, 1.0]), 0, np.random.default_rng(0))
         assert oracle.call_count == 0
 

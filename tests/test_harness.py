@@ -109,10 +109,15 @@ class TestModelDispatch:
             ExperimentConfig(model="curveball")
 
     @pytest.mark.parametrize("bad,message", [
-        (dict(trials=0), "trials must be at least 1"),
-        (dict(workers=0), "workers must be at least 1"),
-        (dict(master_seed=-1), "master_seed must be non-negative"),
-    ], ids=["trials-zero", "workers-zero", "seed-negative"])
+        (dict(trials=0), "trials must be an integer of at least 1"),
+        (dict(workers=0), "workers must be an integer of at least 1"),
+        (dict(master_seed=-1), "master_seed must be an integer of at least 0"),
+        (dict(trials=2.5), "trials must be an integer of at least 1"),
+        (dict(workers=1.5), "workers must be an integer of at least 1"),
+        (dict(master_seed=1.5), "master_seed must be an integer of at least 0"),
+        (dict(boost_t=3.0), "boost_t must be a positive odd integer"),
+    ], ids=["trials-zero", "workers-zero", "seed-negative", "trials-2.5", "workers-1.5",
+            "seed-1.5", "boost-3.0"])
     def test_bad_run_knobs_rejected_at_build(self, bad, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad)
