@@ -7,11 +7,14 @@ acceptance criterion); it and ``lowerbound`` print one check report and exit 0
 on pass and 2 on failure.  A model, estimator or run flag left out takes its
 ``ExperimentConfig`` default, and the instance decides the energy-range case.
 Each model knob is checked by the code that builds the model, and a knob the
-chosen model does not read is ignored.  A rejected run setting or estimator
-knob (an --eps that 1 + eps rounds away, a --d or --r from 2^63, an m d that
-is not finite), a model that cannot be built (a missing or malformed file, a
-knob or window the model rejects, too many states to enumerate, a lowerbound
-size over its caps), an instance outside the estimator's energy range (an
+chosen model does not read is ignored.  Every count (--d, --r, --trials,
+--workers, --seed, --boost, --colors, --n-factors, --m-grid) is checked by the
+one rule ``instance.check_count``: an integer of at least its least value,
+below 2^63 for --d and --r, and odd for --boost.  A rejected run setting or
+estimator knob (an --eps that 1 + eps rounds away, a --d or --r from 2^63, an
+m d that is not finite), a model that cannot be built (a missing or malformed
+file, a knob or window the model rejects, too many states to enumerate, a
+lowerbound size over its caps), an instance outside the estimator's energy range (an
 energy inside (0, 1)), a batch over the work budget (the floats its TPA
 points, its TPA and PPE runs, its trial records and its boost repetitions
 would hold), and a ``tau`` --d or --rho out of range are one-line usage errors

@@ -50,7 +50,7 @@ from typing import Literal, NamedTuple, Union
 
 import numpy as np
 
-from .instance import CountInstance, Schedule, logsumexp
+from .instance import CountInstance, Schedule, check_count, logsumexp
 from .oracle import CHUNK_ELEMENTS, SamplingOracle
 from .tpa import generate_schedule
 
@@ -80,16 +80,12 @@ DEFAULT_LAMBDA = math.exp(-7.0)
 HEADLINE_RATE = 3.6
 
 
-# each knob's one rule, (test, message); d and r size int64 offsets and arrays
-_INT64 = (
-    lambda v: isinstance(v, (int, np.integer)) and 1 <= v < 2 ** 63,
-    "d and r must be integers in [1, 2^63), got {name} = {value}",
-)
+# each knob's one rule: (test, message), or for a count the keywords of
+# ``check_count``; d and r size int64 offsets and arrays
 _RULES = {
     "case": (lambda c: c in ("I", "II"), "case must be 'I' or 'II'"),
     "gamma": (lambda g: 0.0 < g < 0.25, "gamma must lie in (0, 0.25)"),
-    "d": _INT64, "r": _INT64,
-    "k": (lambda k: isinstance(k, (int, np.integer)) and k >= 1, "k must be an integer of at least 1"),
+    "d": {"sized": True}, "r": {"sized": True}, "k": {},
     "n": (lambda n: n >= 1, "n must be at least 1"),
     "lam": (lambda lam: 0.0 < lam < 1.0, "lambda must lie in (0, 1)"),
 }
@@ -98,9 +94,11 @@ _RULES = {
 def _check_knobs(**knobs) -> None:
     """Check each given knob against its rule in ``_RULES``, in order."""
     for name, value in knobs.items():
-        test, message = _RULES[name]
-        if not test(value):
-            raise ValueError(message.format(name=name, value=value))
+        rule = _RULES[name]
+        if isinstance(rule, dict):
+            check_count(name, value, **rule)
+        elif not rule[0](value):
+            raise ValueError(rule[1])
 
 
 def _case_lambda(case: Case, lam: float | None) -> float | None:
@@ -439,8 +437,7 @@ def median_boost(
     Each repetition runs on its own child stream spawned from rng, so the
     failure probability drops to the binomial tail P(Bin(t, 1/4) >= ceil(t/2)).
     """
-    if t < 1 or t % 2 == 0:
-        raise ValueError("t must be a positive odd integer")
+    check_count("t", t, odd=True)
     results = [estimate(target, config, child) for child in rng.spawn(t)]
     results.sort(key=lambda res: res.q_hat)
     return results[t // 2]

@@ -29,6 +29,7 @@ from .estimator import (
 )
 from .instance import (
     CountInstance,
+    check_count,
     load_instance,
     log_ratio_true,
     schedule_delta,
@@ -89,10 +90,6 @@ MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings
 WORK_BUDGET = 2 ** 28
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One reproducible batch: model choice, estimator knobs, seeding.
@@ -130,13 +127,10 @@ class ExperimentConfig:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         for name, least in (("trials", 1), ("workers", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer of at least {least}")
+            check_count(name, getattr(self, name), least)
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
-        t = self.boost_t
-        if t is not None and not (_is_int(t) and t >= 1 and t % 2 == 1):
-            raise ValueError("boost_t must be a positive odd integer")
+        if self.boost_t is not None:
+            check_count("boost_t", self.boost_t, odd=True)
         if self.model in ("twolevel", "lowerbound") and (self.beta_min, self.beta_max) != (None, None):
             raise ValueError(f"{self.model} model fixes its own beta window; drop beta_min/beta_max")
 

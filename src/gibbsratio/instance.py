@@ -15,27 +15,33 @@ array-API dispatch, and importing ``scipy.special`` took about 350 of the
 (levels,) + beta.shape, as the oracle's tables are, so a reduction over the
 levels is one whole-row operation per level; reducing a short last axis
 instead runs one numpy inner loop per beta.
+
+``check_count`` is the package's one rule for an integer count (TPA runs k,
+the stride d and its offset, PPE runs r, a boost factor, a color count, the
+lower-bound family's N and m): a Python or numpy integer of at least
+``least``, below 2^63 where it sizes int64 offsets and arrays, and odd where
+it is a boost factor.  Every public entry point that takes a count applies it
+before any work, and the refusal names the knob.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "CountInstance",
     "Schedule",
-    "PairedMoments",
+    "check_count",
     "logsumexp",
     "log_partition",
     "log_ratio_true",
     "mean_energy",
     "energy_variance",
     "schedule_delta",
-    "paired_moments",
     "singleton_instance",
     "two_level_instance",
     "save_instance",
@@ -221,10 +227,19 @@ class Schedule:
         return self.betas.tolist()
 
 
-class PairedMoments(NamedTuple):
-    log_ew: float
-    log_ev: float
-    log_vrel: float
+def check_count(name: str, value, least: int = 1, *, sized: bool = False, odd: bool = False) -> None:
+    """Refuse ``value`` unless it is an integer count: the ValueError names ``name``.
+
+    A count is a Python or numpy integer of at least ``least``; ``sized``
+    also needs it below 2^63, and ``odd`` needs it odd.
+    """
+    if not (
+        isinstance(value, (int, np.integer))
+        and least <= value < (2 ** 63 if sized else math.inf)
+        and (value % 2 == 1 or not odd)
+    ):
+        span = f"in [{least}, 2^63)" if sized else f"of at least {least}"
+        raise ValueError(f"{name} must be an {'odd ' if odd else ''}integer {span}")
 
 
 def logsumexp(a, axis=-1):
@@ -290,8 +305,10 @@ def schedule_delta(inst: CountInstance, sched: Schedule) -> tuple[float, np.ndar
     """Log relative variance of the paired product estimator on a schedule.
 
     Returns (delta, per_interval) where per_interval[i] is
-    z(b_i) - 2 z((b_i + b_{i+1})/2) + z(b_{i+1}).  Each term is non-negative
-    because ln Z is convex; their sum is ln Vrel of a single estimator run.
+    z(b_i) - 2 z((b_i + b_{i+1})/2) + z(b_{i+1}): the interval's ln Vrel(W) =
+    ln Vrel(V), as E W = Z(mid)/Z(b_i) and E V = Z(mid)/Z(b_{i+1}) with mid
+    its midpoint.  Each term is non-negative because ln Z is convex; their
+    sum is ln Vrel of a single estimator run.
     """
     b = sched.betas
     scale = max(1.0, abs(inst.beta_min), abs(inst.beta_max))
@@ -302,26 +319,6 @@ def schedule_delta(inst: CountInstance, sched: Schedule) -> tuple[float, np.ndar
     z_ends, z_mids = z[:b.size], z[b.size:]
     per_interval = z_ends[:-1] - 2.0 * z_mids + z_ends[1:]
     return float(per_interval.sum()), per_interval
-
-
-def paired_moments(inst: CountInstance, beta_lo: float, beta_hi: float) -> PairedMoments:
-    """Closed-form single-interval moments of the paired product estimator.
-
-    With mid = (beta_lo + beta_hi)/2:
-      E[W] = Z(mid)/Z(beta_lo),  E[V] = Z(mid)/Z(beta_hi),
-      Vrel(W) = Vrel(V) = Z(beta_lo) Z(beta_hi) / Z(mid)^2,
-    so log_ev - log_ew telescopes to z(beta_lo) - z(beta_hi).
-    """
-    if not beta_lo < beta_hi:
-        raise ValueError("beta_lo must be below beta_hi")
-    z_lo, z_mid, z_hi = log_partition(
-        inst, np.array([beta_lo, 0.5 * (beta_lo + beta_hi), beta_hi])
-    )
-    return PairedMoments(
-        log_ew=float(z_mid - z_lo),
-        log_ev=float(z_mid - z_hi),
-        log_vrel=float(z_lo + z_hi - 2.0 * z_mid),
-    )
 
 
 def singleton_instance(h: float = 1.0, beta_min: float = 0.0, beta_max: float = 5.0) -> CountInstance:

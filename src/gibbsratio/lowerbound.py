@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import minimize_on_grid
-from .instance import CountInstance, energy_variance
+from .instance import CountInstance, check_count, energy_variance
 
 __all__ = [
     "LowerBoundInstance",
@@ -76,12 +76,13 @@ def _expand_log_coefficients(a_coeffs: np.ndarray) -> np.ndarray:
 def build_from_grid(n_factors: int, m_grid: int) -> LowerBoundInstance:
     """Geometric family a_k = 2^{1-k}, eta = 2^{1-N} on the grid 1 + j/m.
 
-    N is at most 1,023, so every a_k is a normal float (a_1023 = 2^-1022 is
-    the least), and m at most 2^52, so the grid energies 1 + j/m are distinct
-    floats; both are checked before any array is built.
+    N and m are integer counts.  N is at most 1,023, so every a_k is a normal
+    float (a_1023 = 2^-1022 is the least), and m at most 2^52, so the grid
+    energies 1 + j/m are distinct floats; all four conditions are checked
+    before any array is built.
     """
-    if n_factors < 1 or m_grid < 1:
-        raise ValueError("n_factors and m_grid must be positive integers")
+    check_count("n_factors", n_factors)
+    check_count("m_grid", m_grid)
     if n_factors > 1023 or m_grid > 2 ** 52:
         raise ValueError("n_factors must be at most 1023 and m_grid at most 2^52")
     a = 2.0 ** (1.0 - np.arange(1, n_factors + 1, dtype=float))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import CountInstance
+from .instance import CountInstance, check_count
 
 __all__ = [
     "GraphSpec",
@@ -113,9 +113,8 @@ def enumerate_colorings(
     omitted it is chosen so the partition function at beta_max is within 1e-3
     relative of the proper-coloring count (see beta_max_for_ground_state).
     """
-    if kcolors < 2:
-        raise ValueError("need at least two colors")
-    n_states = kcolors ** g.n_vertices
+    check_count("kcolors", kcolors, 2)
+    n_states = int(kcolors) ** g.n_vertices  # a numpy integer's power wraps at 2^64
     _check_budget(n_states, f"{kcolors}-colorings on {g.n_vertices} vertices")
     idx = np.arange(n_states, dtype=np.int64)
     energy = np.zeros(n_states, dtype=np.int64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Schedule
+from .instance import Schedule, check_count
 from .oracle import SamplingOracle
 
 __all__ = [
@@ -77,8 +77,7 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
     The waves run inside one ``np.errstate`` that ignores divide and invalid
     only, as ``tpa_step``'s does; it spans each wave's ``sample_at`` too.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_count("k", k)
     inst = oracle.instance
     active = np.full(k, inst.beta_min)
     collected = []
@@ -102,7 +101,9 @@ def thin_to_schedule(
     Kept points that tie (a TPA step below the float resolution of beta) are
     merged into one level; point sets without ties are thinned unchanged.
     """
-    if not 1 <= offset <= d:
+    check_count("d", d, sized=True)
+    check_count("offset", offset)
+    if offset > d:
         raise ValueError("offset must lie in {1, ..., d}")
     points = np.asarray(points)
     if np.any(points[1:] < points[:-1]):
@@ -122,8 +123,7 @@ def generate_schedule(oracle: SamplingOracle, k: int, d: int, rng) -> tuple[Sche
     replays consume an identical random stream.  An empty point set yields the
     two-level schedule (beta_min, beta_max).
     """
-    if d < 1:
-        raise ValueError("d must be at least 1")
+    check_count("d", d, sized=True)
     out = tpa_multi(oracle, k, rng)
     offset = int(rng.integers(1, d + 1))
     inst = oracle.instance

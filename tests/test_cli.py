@@ -134,7 +134,7 @@ def _rows(*rows):
 ONE_LINE_ERRORS = {
     "run-setting": _rows(
         ("tv-budget", ("trials", "--tv-budget", "-0.1"), "tv_budget must lie in [0, 1)"),
-        ("boost", ("trials", "--boost", "2"), "boost_t must be a positive odd integer"),
+        ("boost", ("trials", "--boost", "2"), "boost_t must be an odd integer of at least 1"),
         ("seed-negative", ("trials", "--seed", "-1"), "master_seed must be an integer of at least 0"),
     ),
     "energy": _rows(
@@ -150,7 +150,7 @@ ONE_LINE_ERRORS = {
         ("d-1e9", (*TRIAL, "--d", "1000000000"), "*over the work budget*"),
         ("eps-1e-17", (*TRIAL, "--eps", "1e-17"), "*epsilon 1e-17 is below float resolution*"),
         ("eps-1e-300", (*TRIAL, "--eps", "1e-300"), "*epsilon 1e-300 is below float resolution*"),
-        ("d-2^63", (*TRIAL, "--d", str(2 ** 63)), "*d and r must be integers in [1, 2^63)*"),
+        ("d-2^63", (*TRIAL, "--d", str(2 ** 63)), "*d must be an integer in [1, 2^63)*"),
         ("m-1e308", (*TRIAL, "--m", "1e308"), "*the TPA run count m d must be finite*"),
         ("k-over-a-tiny-window",
          (*TRIAL, "--model", "singleton", "--beta-max", "1e-12", "--m", "1e10"),
@@ -170,11 +170,11 @@ ONE_LINE_ERRORS = {
          "*No such file or directory*"),
         ("no-instance", (*TRIAL, "--model", "synthetic"), "*synthetic model needs instance_path*"),
         ("colors-1", (*TRIAL, "--model", "colorings", "--graph", "{c4}", "--colors", "1"),
-         "*need at least two colors*"),
+         "*kcolors must be an integer of at least 2*"),
         ("n-factors-1", (*TRIAL, "--model", "lowerbound", "--n-factors", "1"),
          "*n_factors must be at least 2 for a positive window*"),
         ("m-grid-0", (*TRIAL, "--model", "lowerbound", "--m-grid", "0"),
-         "*n_factors and m_grid must be positive integers*"),
+         "*m_grid must be an integer of at least 1*"),
         ("n-factors-1e9", (*TRIAL, "--model", "lowerbound", "--n-factors", "1000000000"),
          "*n_factors must be at most 1023 and m_grid at most 2^52*"),
         ("window-reversed",
@@ -212,7 +212,7 @@ ONE_LINE_ERRORS = {
     ),
     # the tau row for d = 1 is computed, but nothing is printed before the error
     "tau": _rows(
-        ("d-0", ("tau", "--d", "1", "0"), "d and r must be integers in [1, 2^63), got d = 0"),
+        ("d-0", ("tau", "--d", "1", "0"), "d must be an integer in [1, 2^63)"),
         ("rho-1.5", ("tau", "--rho", "1.5"), "rho must lie in (0, 1)"),
         ("rho-nan", ("tau", "--rho", "nan"), "rho must lie in (0, 1)"),
     ),

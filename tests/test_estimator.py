@@ -212,7 +212,7 @@ class TestMinM:
 
 
 # knobs every entry point below accepts, and what each entry point is called with
-KNOBS = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, n=10.0, case="II", lam=0.01, rho=0.5)
+KNOBS = dict(epsilon=1.0, gamma=0.24, d=64, k=64, r=8, n=10.0, case="II", lam=0.01, rho=0.5, t=3)
 ENTRY_POINTS = {
     "tau_rho": tau_rho,
     "min_m": min_m,
@@ -220,6 +220,9 @@ ENTRY_POINTS = {
     "EstimatorConfig": EstimatorConfig,
     "paired_product": lambda r: paired_product(
         SamplingOracle(two_level_instance(2.0)), Schedule([0.0, 1.0]), r, np.random.default_rng(0)
+    ),
+    "median_boost": lambda t: median_boost(
+        singleton_instance(), EstimatorConfig(1.0, 0.24, 2, 2, 2, "I"), t, np.random.default_rng(0)
     ),
 }
 
@@ -237,7 +240,7 @@ def _refusal(name: str, knobs: dict) -> str | None:
     return None
 
 
-INT64 = "d and r must be integers in [1, 2^63), got {} = {}".format
+INT64 = "{} must be an integer in [1, 2^63)".format
 BIG = {2 ** 63: "2^63", 10 ** 400: "10^400"}
 
 
@@ -248,12 +251,13 @@ def _rule(knob, value, message):
 # one row per refused knob value, with the one message every entry point taking it raises
 RULE_ROWS = [
     *(_rule("gamma", gamma, "gamma must lie in (0, 0.25)") for gamma in (0.0, 0.25, math.nan)),
-    *(_rule(knob, v, INT64(knob, v)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400, 2.9, 8.0)),
+    *(_rule(knob, v, INT64(knob)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400, 2.5, 2.9, 8.0)),
     *(_rule("n", n, "n must be at least 1") for n in (0.5, 0.0, math.nan)),
     _rule("case", "III", "case must be 'I' or 'II'"),
     *(_rule("lam", lam, "lambda must lie in (0, 1)") for lam in (0.0, 1.0, -0.5, math.nan)),
     *(_rule("epsilon", eps, "epsilon must be positive and finite") for eps in (0.0, math.nan)),
-    *(_rule("k", k, "k must be an integer of at least 1") for k in (0, 10.5)),
+    *(_rule("k", k, "k must be an integer of at least 1") for k in (0, 2.5, 8.0, 10.5)),
+    *(_rule("t", t, "t must be an odd integer of at least 1") for t in (0, 2, 2.5, 3.0, 8.0)),
     _rule("rho", 1.0, "rho must lie in (0, 1)"),
 ]
 
@@ -272,7 +276,7 @@ class TestKnobRules:
         assert all(_refusal(name, KNOBS) is None for name in ENTRY_POINTS)
 
     def test_numpy_integers_pass_the_integer_rules(self):
-        knobs = KNOBS | dict(d=np.int64(64), k=np.int64(64), r=np.int64(8))
+        knobs = KNOBS | dict(d=np.int64(64), k=np.int64(64), r=np.int64(8), t=np.int64(3))
         assert all(_refusal(name, knobs) is None for name in ENTRY_POINTS)
         assert _call("build_config", knobs) == _call("build_config", KNOBS)
 
@@ -342,7 +346,7 @@ class TestConfig:
     ], ids=["d-2^63", "d-huge", "r-huge", "r-2^63", "derived-r", "d-0"])
     def test_d_and_r_must_fit_an_int64(self, knobs):
         knobs = dict(epsilon=0.5, n=10.0, case="I") | knobs
-        with pytest.raises(ValueError, match=r"d and r must be integers in \[1, 2\^63\)"):
+        with pytest.raises(ValueError, match=r"^[dr] must be an integer in \[1, 2\^63\)$"):
             build_config(**knobs)
 
     def test_largest_stride_it_takes(self):
@@ -409,7 +413,7 @@ class TestPairedProduct:
 
     def test_rejects_r_below_one(self):
         oracle = SamplingOracle(two_level_instance(2.0))
-        with pytest.raises(ValueError, match=r"d and r must be integers in \[1, 2\^63\), got r = 0"):
+        with pytest.raises(ValueError, match=r"^r must be an integer in \[1, 2\^63\)$"):
             paired_product(oracle, Schedule([0.0, 1.0]), 0, np.random.default_rng(0))
         assert oracle.call_count == 0
 
@@ -642,13 +646,15 @@ class TestEstimatePipeline:
 
 class TestMedianBoost:
     def test_rejects_even_or_nonpositive(self):
-        inst = singleton_instance()
+        # refused before the first repetition: no draw, and no child stream spawned
+        oracle = SamplingOracle(singleton_instance())
         cfg = build_config(0.5, 1.0, "I")
         rng = np.random.default_rng(7)
-        with pytest.raises(ValueError):
-            median_boost(inst, cfg, 2, rng)
-        with pytest.raises(ValueError):
-            median_boost(inst, cfg, 0, rng)
+        for t in (2, 0, 2.5, 3.0, 8.0):
+            with pytest.raises(ValueError, match="^t must be an odd integer of at least 1$"):
+                median_boost(oracle, cfg, t, rng)
+        assert oracle.call_count == 0
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_singleton_exact(self):
         inst = singleton_instance(beta_max=5.0)

@@ -115,12 +115,24 @@ class TestModelDispatch:
         (dict(trials=2.5), "trials must be an integer of at least 1"),
         (dict(workers=1.5), "workers must be an integer of at least 1"),
         (dict(master_seed=1.5), "master_seed must be an integer of at least 0"),
-        (dict(boost_t=3.0), "boost_t must be a positive odd integer"),
+        (dict(boost_t=3.0), "boost_t must be an odd integer of at least 1"),
+        (dict(trials=8.0), "trials must be an integer of at least 1"),
+        (dict(workers=2.5), "workers must be an integer of at least 1"),
+        (dict(workers=8.0), "workers must be an integer of at least 1"),
+        (dict(master_seed=2.5), "master_seed must be an integer of at least 0"),
+        (dict(master_seed=8.0), "master_seed must be an integer of at least 0"),
+        (dict(boost_t=2.5), "boost_t must be an odd integer of at least 1"),
+        (dict(boost_t=8.0), "boost_t must be an odd integer of at least 1"),
     ], ids=["trials-zero", "workers-zero", "seed-negative", "trials-2.5", "workers-1.5",
-            "seed-1.5", "boost-3.0"])
+            "seed-1.5", "boost-3.0", "trials-8.0", "workers-2.5", "workers-8.0", "seed-2.5",
+            "seed-8.0", "boost-2.5", "boost-8.0"])
     def test_bad_run_knobs_rejected_at_build(self, bad, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(**bad)
+
+    def test_numpy_integers_pass_the_run_knob_rules(self):
+        knobs = dict(trials=np.int64(2), workers=np.int64(1), master_seed=np.int64(5), boost_t=np.int64(3))
+        assert ExperimentConfig(**knobs) == ExperimentConfig(trials=2, workers=1, master_seed=5, boost_t=3)
 
     @pytest.mark.parametrize("model", ["ising", "colorings", "matchings"])
     def test_graph_model_needs_graph_path(self, model):
@@ -196,14 +208,20 @@ class TestTrialRng:
 
 class TestRunTrials:
     @pytest.mark.parametrize("bad,message", [
-        (dict(model="colorings", kcolors=1), "need at least two colors"),
+        (dict(model="colorings", kcolors=1), "kcolors must be an integer of at least 2"),
         (dict(model="lowerbound", n_factors=1), "at least 2 for a positive window"),
-        (dict(model="lowerbound", m_grid=0), "must be positive integers"),
+        (dict(model="lowerbound", m_grid=0), "m_grid must be an integer of at least 1"),
         (dict(model="ising", beta_min=2.0, beta_max=1.0), "beta_max must exceed beta_min"),
         (dict(model="ising", beta_max=math.nan), "temperature bounds must be finite"),
         (dict(target_q=-1.0), "target_q must be positive"),
+        *(({"model": "colorings", "kcolors": v}, "kcolors must be an integer of at least 2")
+          for v in (2.5, 8.0)),
+        *(({"model": "lowerbound", knob: v}, f"{knob} must be an integer of at least 1")
+          for knob in ("n_factors", "m_grid") for v in (2.5, 8.0)),
+        (dict(model="lowerbound", n_factors=6.5), "n_factors must be an integer of at least 1"),
     ], ids=["colors-1", "n-factors-1", "m-grid-0", "window-reversed", "window-nan",
-            "q-negative"])
+            "q-negative", "colors-2.5", "colors-8.0", "n-factors-2.5", "n-factors-8.0",
+            "m-grid-2.5", "m-grid-8.0", "n-factors-6.5"])
     def test_setting_a_builder_rejects_raises_before_the_first_trial(
         self, tmp_path, monkeypatch, bad, message
     ):

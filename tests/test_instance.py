@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from gibbsratio.instance import (
     CountInstance,
-    PairedMoments,
     Schedule,
     energy_variance,
     load_instance,
@@ -20,7 +19,6 @@ from gibbsratio.instance import (
     log_ratio_true,
     logsumexp,
     mean_energy,
-    paired_moments,
     save_instance,
     schedule_delta,
     singleton_instance,
@@ -313,14 +311,6 @@ class TestScheduleDelta:
         with pytest.raises(ValueError):
             schedule_delta(four_cycle, Schedule([0.0, 1.0]))
 
-    def test_matches_paired_moment_sum(self, four_cycle):
-        sched = Schedule(np.linspace(0.0, 2.0, 6))
-        delta, per = schedule_delta(four_cycle, sched)
-        total = 0.0
-        for lo, hi in zip(sched.betas[:-1], sched.betas[1:]):
-            total += paired_moments(four_cycle, lo, hi).log_vrel
-        assert delta == pytest.approx(total, abs=1e-10)
-
     @pytest.mark.parametrize("support", [1, 2, 3, 23, 300])
     @pytest.mark.parametrize("levels", [2, 3, 23, 300])
     def test_one_call_matches_the_two_call_form_bit_for_bit(self, support, levels):
@@ -337,27 +327,32 @@ class TestScheduleDelta:
 
 
 class TestPairedMoments:
+    """E W = Z(mid)/Z(lo) and E V = Z(mid)/Z(hi) by ``log_partition``, ln Vrel by ``schedule_delta``."""
+
     def test_singleton_interval(self):
         inst = singleton_instance(beta_max=2.0)
-        pm = paired_moments(inst, 0.0, 2.0)
-        assert pm.log_ew == pytest.approx(-1.0, abs=1e-12)
-        assert pm.log_ev == pytest.approx(1.0, abs=1e-12)
-        assert pm.log_vrel == pytest.approx(0.0, abs=1e-12)
+        z_lo, z_mid, z_hi = log_partition(inst, np.array([0.0, 1.0, 2.0]))
+        assert z_mid - z_lo == pytest.approx(-1.0, abs=1e-12)
+        assert z_mid - z_hi == pytest.approx(1.0, abs=1e-12)
+        delta, _ = schedule_delta(inst, Schedule([0.0, 2.0]))
+        assert delta == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_with_schedule_delta(self, two_level):
-        pm = paired_moments(two_level, 0.0, math.log(3.0))
+        # Vrel(W) = E[W^2] / E[W]^2 by hand: W = 3^(-h/2), with h = 0 or 1 equally likely at beta 0
+        e_w, e_w2 = (1 + 3 ** -0.5) / 2, (1 + 1 / 3) / 2
         delta, _ = schedule_delta(two_level, Schedule([0.0, math.log(3.0)]))
-        assert pm.log_vrel == pytest.approx(delta, abs=1e-12)
+        assert delta == pytest.approx(math.log(e_w2 / e_w ** 2), abs=1e-12)
 
     def test_telescoping_ratio(self, four_cycle):
-        pm = paired_moments(four_cycle, 0.3, 1.1)
-        z_lo = log_partition(four_cycle, 0.3)
-        z_hi = log_partition(four_cycle, 1.1)
-        assert pm.log_ev - pm.log_ew == pytest.approx(z_lo - z_hi, abs=1e-12)
-
-    def test_ordering_enforced(self, four_cycle):
-        with pytest.raises(ValueError):
-            paired_moments(four_cycle, 1.0, 1.0)
+        # E W and E V summed over the Gibbs weights match the closed forms, whose ratio telescopes
+        lo, hi = 0.3, 1.1
+        h, lc = four_cycle.energies, four_cycle.log_counts
+        z_lo, z_mid, z_hi = log_partition(four_cycle, np.array([lo, 0.5 * (lo + hi), hi]))
+        e_w = np.sum(np.exp(lc - lo * h - z_lo - 0.5 * (hi - lo) * h))
+        e_v = np.sum(np.exp(lc - hi * h - z_hi + 0.5 * (hi - lo) * h))
+        assert math.log(e_w) == pytest.approx(z_mid - z_lo, abs=1e-12)
+        assert math.log(e_v) == pytest.approx(z_mid - z_hi, abs=1e-12)
+        assert math.log(e_v / e_w) == pytest.approx(z_lo - z_hi, abs=1e-12)
 
 
 class TestSchedule:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gibbsratio
 from gibbsratio.claims import verify_lemma10
 from gibbsratio.instance import energy_variance, log_partition, log_ratio_true, mean_energy
 from gibbsratio.lowerbound import (
@@ -54,6 +55,19 @@ class TestExpansion:
             build_from_grid(1, 2)  # eta = 1 collapses the window
         with pytest.raises(ValueError):
             build_from_grid(4, 0)
+
+    @pytest.mark.parametrize("n_factors,m_grid,knob", [
+        (0, 2, "n_factors"), (2.5, 2, "n_factors"), (8.0, 2, "n_factors"), (8.5, 2, "n_factors"),
+        (4, 0, "m_grid"), (4, 2.5, "m_grid"), (4, 8.0, "m_grid"),
+    ])
+    def test_refuses_a_size_that_is_not_a_count(self, monkeypatch, n_factors, m_grid, knob):
+        monkeypatch.setattr(gibbsratio.lowerbound, "np", None)  # an array built would raise
+        with pytest.raises(ValueError, match=f"^{knob} must be an integer of at least 1$"):
+            build_from_grid(n_factors, m_grid)
+
+    def test_numpy_sizes_pass(self):
+        lb = build_from_grid(np.int64(8), np.int64(2))
+        assert lb.expanded == build_from_grid(8, 2).expanded
 
     @pytest.mark.parametrize("n_factors,m_grid", [(1024, 2), (10 ** 9, 2), (16, 2 ** 52 + 1)],
                              ids=["N-1024", "N-1e9", "m-2^52+1"])

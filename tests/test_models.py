@@ -4,8 +4,10 @@ import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 
+import gibbsratio
 from gibbsratio.instance import log_partition
 from gibbsratio.models import (
     BudgetExceededError,
@@ -146,6 +148,21 @@ class TestColorings:
     def test_needs_two_colors(self):
         with pytest.raises(ValueError):
             enumerate_colorings(TRIANGLE, 1)
+
+    @pytest.mark.parametrize("kcolors", [1, 2.5, 8.0])
+    def test_color_count_is_refused_before_any_array(self, monkeypatch, kcolors):
+        monkeypatch.setattr(gibbsratio.models, "np", None)  # an array built would raise
+        with pytest.raises(ValueError, match="^kcolors must be an integer of at least 2$"):
+            enumerate_colorings(TRIANGLE, kcolors)
+
+    def test_numpy_color_count_passes(self):
+        assert enumerate_colorings(TRIANGLE, np.int64(3)) == enumerate_colorings(TRIANGLE, 3)
+
+    def test_numpy_color_count_is_sized_without_wrapping(self):
+        # np.int64(16) ** 16 wraps to 0 states, which would pass the budget
+        path = GraphSpec(16, tuple((v, v + 1) for v in range(15)))
+        with pytest.raises(BudgetExceededError, match=f"has {16 ** 16} states"):
+            enumerate_colorings(path, np.int64(16))
 
 
 class TestMatchings:

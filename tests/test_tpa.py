@@ -1,6 +1,7 @@
 """TPA step/run/schedule distribution and accounting checks (pinned seeds)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,43 @@ class TestTpaMulti:
         assert all(check.passed for check in checks), checks
 
 
+def _tpa_call(entry, oracle, k=3, d=2, offset=1):
+    """``entry`` called with the given counts and a fresh seeded generator; its points."""
+    rng = np.random.default_rng(0)
+    if entry == "tpa_multi":
+        return tpa_multi(oracle, k, rng).points.tolist()
+    if entry == "generate_schedule":
+        return generate_schedule(oracle, k, d, rng)[0].to_list()
+    return thin_to_schedule(np.linspace(0.5, 4.5, 5), d, offset, 0.0, 5.0).to_list()
+
+
+K = "k must be an integer of at least 1"
+D = "d must be an integer in [1, 2^63)"
+OFFSET = "offset must be an integer of at least 1"
+# one row per refused count: the entry point, the count it is given, and its message
+COUNT_ROWS = [
+    *(pytest.param(entry, {"k": k}, K, id=f"{entry}-k-{k}")
+      for entry in ("tpa_multi", "generate_schedule") for k in (0, 2.5, 8.0)),
+    *(pytest.param(entry, {"d": d}, D, id=f"{entry}-d-{'2^63' if d == 2 ** 63 else d}")
+      for entry in ("generate_schedule", "thin_to_schedule") for d in (0, 2.5, 8.0, 2 ** 63)),
+    *(pytest.param("thin_to_schedule", {"offset": offset}, OFFSET, id=f"offset-{offset}")
+      for offset in (0, 2.5, 8.0)),
+]
+
+
+class TestCountRules:
+    @pytest.mark.parametrize("entry,counts,message", COUNT_ROWS)
+    def test_refused_before_any_draw(self, unit_oracle, entry, counts, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _tpa_call(entry, unit_oracle, **counts)
+        assert unit_oracle.call_count == 0
+
+    @pytest.mark.parametrize("entry", ["tpa_multi", "generate_schedule", "thin_to_schedule"])
+    def test_numpy_integers_pass(self, unit_oracle, entry):
+        counts = dict(k=np.int64(3), d=np.int64(2), offset=np.int64(1))
+        assert _tpa_call(entry, unit_oracle, **counts) == _tpa_call(entry, unit_oracle)
+
+
 class TestPppReference:
     def test_validation(self):
         rng = np.random.default_rng(14)
@@ -172,7 +210,7 @@ class TestScheduleGeneration:
         assert count == 0
 
     def test_rejects_d_below_one(self, unit_oracle):
-        with pytest.raises(ValueError, match="d must be at least 1"):
+        with pytest.raises(ValueError, match=r"^d must be an integer in \[1, 2\^63\)$"):
             generate_schedule(unit_oracle, 1, 0, np.random.default_rng(0))
         assert unit_oracle.call_count == 0
 
