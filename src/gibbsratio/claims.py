@@ -1,10 +1,10 @@
 """The paper's claims as checks, and the pinned suites built from them.
 
-Each claim is one function that returns its checks, with its sample size and
-tolerance fixed inside.  ``SUITES`` is the one registry: the four composite
-suites (``distribution``, ``accounting``, ``lemma10``, ``tau_table``) and one
-suite per acceptance criterion, each on its pinned seed, so ``gibbsratio
-suite <name>`` and ``tests/test_acceptance.py`` run the same checks on the same
+Each claim is one function that returns its list of ``SuiteCheck``s, with its
+sample size and tolerance fixed inside.  ``SUITES`` is the one registry: one
+suite per acceptance criterion (``criterion_01`` to ``criterion_12_*``, and
+``complexity_sweep``), each on its pinned seeds, so ``gibbsratio suite
+<name>`` and ``tests/test_acceptance.py`` run the same checks on the same
 streams.  The unit tests run the same functions on their own seeds.
 
 Neither ``gibbsratio`` nor ``gibbsratio.harness`` imports this module, so a
@@ -50,7 +50,7 @@ TAU_TABLE = {
     512: (1.184, 1.170),
 }
 
-# the batch of the accounting suite, and of call accounting's k + 1 control
+# criterion 8's batch on explicit knobs, and call accounting's k + 1 control
 ACCOUNTING_CONFIG = ExperimentConfig(
     model="twolevel", target_q=3.0, epsilon=1.0, d=4, r=6, m=2.0, trials=50, master_seed=77
 )
@@ -59,6 +59,12 @@ ACCOUNTING_CONFIG = ExperimentConfig(
 GRID4 = GraphSpec(16, tuple(
     (v, v + step) for v in range(16) for step, inside in ((1, v % 4 < 3), (4, v < 12)) if inside
 ))
+
+# the symmetric two-level instance over [0, ln 3] of the moment and step-survival claims
+SYMMETRIC = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
+# the two-level q=8 instance and eps 0.5's built config, of schedule quality and robustness
+Q8 = two_level_instance(8.0)
+Q8_CONFIG = build_config(0.5, Q8.n, "II")
 
 
 @dataclass(frozen=True)
@@ -132,11 +138,10 @@ def moment_checks(rng) -> list[SuiteCheck]:
     means of W at beta 0 and then V at ln 3, each over 100,000 draws, lie
     within 4 standard errors of those E W and E V.
     """
-    inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
     half = 0.5 * math.log(3.0)
-    z_lo, z_mid, z_hi = log_partition(inst, np.array([0.0, half, math.log(3.0)]))
+    z_lo, z_mid, z_hi = log_partition(SYMMETRIC, np.array([0.0, half, math.log(3.0)]))
     log_ew, log_ev = float(z_mid - z_lo), float(z_mid - z_hi)
-    oracle = SamplingOracle(inst)
+    oracle = SamplingOracle(SYMMETRIC)
     n = 100_000
     w = np.exp(-half * oracle.sample_many(0.0, n, rng))
     v = np.exp(half * oracle.sample_many(math.log(3.0), n, rng))
@@ -178,11 +183,10 @@ def step_survival_checks(rng) -> list[SuiteCheck]:
     100,000 steps on the symmetric two-level instance over [0, ln 3]; each of
     five alphas within 4 standard errors.
     """
-    inst = CountInstance([(0.0, 0.0), (1.0, 0.0)], 0.0, math.log(3.0))
-    steps = tpa_step(SamplingOracle(inst), np.zeros(100_000), rng)
+    steps = tpa_step(SamplingOracle(SYMMETRIC), np.zeros(100_000), rng)
     checks = []
     for alpha in (0.2, 0.5, math.log(2.0), 1.0, 1.5):
-        target = math.exp(log_partition(inst, alpha) - log_partition(inst, 0.0))
+        target = math.exp(log_partition(SYMMETRIC, alpha) - log_partition(SYMMETRIC, 0.0))
         emp = float((steps >= alpha).mean())
         tol = 4 * math.sqrt(target * (1 - target) / steps.size)
         checks.append(_check(
@@ -222,16 +226,14 @@ def schedule_quality_checks(rng) -> list[SuiteCheck]:
     Each is thinned with eps 0.5's built config; the share whose ``delta`` is
     at most the good-schedule threshold is at least 0.957.
     """
-    inst = two_level_instance(8.0)
-    cfg = build_config(0.5, inst.n, "II")
-    oracle = SamplingOracle(inst)
+    oracle = SamplingOracle(Q8)
     good = 0
     for _ in range(500):
-        sched, _ = generate_schedule(oracle, cfg.k, cfg.d, rng)
-        good += schedule_delta(inst, sched)[0] <= cfg.delta_threshold
+        sched, _ = generate_schedule(oracle, Q8_CONFIG.k, Q8_CONFIG.d, rng)
+        good += schedule_delta(Q8, sched)[0] <= Q8_CONFIG.delta_threshold
     fraction = good / 500
     return [_check(
-        f"good-schedule fraction (delta <= {cfg.delta_threshold:.4f})", fraction, 0.957,
+        f"good-schedule fraction (delta <= {Q8_CONFIG.delta_threshold:.4f})", fraction, 0.957,
         "at least", fraction >= 0.957,
     )]
 
@@ -292,15 +294,14 @@ def robustness_checks(mode: str) -> list[SuiteCheck]:
     the success rate is at least 0.55, criterion 7's 0.70 less 0.10 for the
     corruption and 0.05 of slack.
     """
-    inst = two_level_instance(8.0)
-    cfg = build_config(0.5, inst.n, "II")
-    tv = 0.1 / (cfg.m * log_ratio_true(inst) * (cfg.r + cfg.d) + 3 * cfg.r + 1)
+    cfg = Q8_CONFIG
+    tv = 0.1 / (cfg.m * log_ratio_true(Q8) * (cfg.r + cfg.d) + 3 * cfg.r + 1)
     batch = _q8_batch(master_seed=2028, tv_budget=tv, corruption_mode=mode)
     return success_checks(batch, 0.70 - 0.10 - 0.05)
 
 
-def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
-    """Check the four strict inequalities of the geometric lower-bound family."""
+def lemma10_checks(lb: LowerBoundInstance) -> list[SuiteCheck]:
+    """The four strict inequalities of the geometric lower-bound family, named by N and m."""
     n, m = lb.n_factors, lb.m_grid
     label = f"N={n} m={m}"
     q_true = log_ratio_true(lb.expanded)
@@ -309,7 +310,7 @@ def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
     rho, rho_floor = sensitivity(lb), (n / 2.0 - 2.0) / m
     kappa, kappa_cap = curvature_sup(lb).kappa_ell_bound, 4.0 / m ** 2
     ratio, ratio_floor = rho ** 2 / kappa, (n / 4.0 - 1.0) ** 2
-    return SuiteReport(f"lemma10 {label}", [
+    return [
         _check(
             f"{label} log-ratio sandwich", q_true, q_lower,
             f"inside ({q_lower:.4f}, {q_upper:.4f})", q_lower < q_true < q_upper,
@@ -320,7 +321,7 @@ def verify_lemma10(lb: LowerBoundInstance) -> SuiteReport:
             f"{label} sensitivity^2/curvature floor", ratio, ratio_floor, "strictly above",
             ratio > ratio_floor,
         ),
-    ])
+    ]
 
 
 def tilt_checks(lb: LowerBoundInstance) -> list[SuiteCheck]:
@@ -386,6 +387,7 @@ def complexity_sweep_checks() -> list[SuiteCheck]:
 
 
 def _accounting() -> list[SuiteCheck]:
+    """Call accounting, mean calls within 10% and replay on ``ACCOUNTING_CONFIG``'s batch."""
     batch, replay = run_trials(ACCOUNTING_CONFIG), run_trials(ACCOUNTING_CONFIG)
     identical = all(a.to_dict() == b.to_dict() for a, b in zip(batch.records, replay.records))
     return call_accounting_checks(batch) + mean_calls_checks(batch, 0.10) + [
@@ -394,8 +396,7 @@ def _accounting() -> list[SuiteCheck]:
 
 
 def _lemma10() -> list[SuiteCheck]:
-    reports = [verify_lemma10(build_from_grid(n, m)) for n, m in ((16, 2), (32, 3))]
-    return [check for report in reports for check in report.checks]
+    return [check for n, m in ((16, 2), (32, 3)) for check in lemma10_checks(build_from_grid(n, m))]
 
 
 def _success_and_accounting() -> list[SuiteCheck]:
@@ -406,22 +407,18 @@ def _success_and_accounting() -> list[SuiteCheck]:
     )
 
 
-# suite name -> its checks on pinned seeds; the criterion_* suites are the acceptance criteria
+# acceptance criterion -> its checks on pinned seeds, one suite per criterion
 SUITES = {
-    "distribution": lambda: (
-        pooled_count_checks(trial_rng(2024, 0))
-        + step_survival_checks(trial_rng(2024, 1))
+    "criterion_01": exactness_checks,
+    "criterion_02": lambda: [check for d in TAU_TABLE for check in tau_checks(d)],
+    "criterion_03": lambda: moment_checks(np.random.default_rng(300)),
+    "criterion_04": lambda: (
+        pooled_count_checks(np.random.default_rng(400))
         + reference_process_checks(trial_rng(2024, 2), k=25, pools=60)
     ),
-    "accounting": _accounting,
-    "lemma10": _lemma10,
-    "tau_table": lambda: [check for d in TAU_TABLE for check in tau_checks(d)],
-    "criterion_01": exactness_checks,
-    "criterion_03": lambda: moment_checks(np.random.default_rng(300)),
-    "criterion_04": lambda: pooled_count_checks(np.random.default_rng(400)),
     "criterion_05": lambda: step_survival_checks(np.random.default_rng(500)),
     "criterion_06": lambda: schedule_quality_checks(np.random.default_rng(600)),
-    "criterion_07_08": _success_and_accounting,
+    "criterion_07_08": lambda: _success_and_accounting() + _accounting(),
     **{f"criterion_09_{mode}": partial(robustness_checks, mode) for mode in CORRUPTION_MODES},
     "criterion_10": lambda: _lemma10() + tilt_checks(build_from_grid(16, 2)),
     "criterion_11": lambda: success_checks(_q8_batch(master_seed=2029, boost_t=5), 0.85),

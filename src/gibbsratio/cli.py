@@ -2,26 +2,27 @@
 
 Records go to --out (default stdout) as ndjson or csv; human-readable
 summaries go to stderr so machine output stays clean.  ``suite`` runs one
-suite of ``gibbsratio.claims.SUITES`` (the four composite suites and one per
-acceptance criterion); it and ``lowerbound`` print one check report and exit 0
-on pass and 2 on failure.  A model, estimator or run flag left out takes its
-``ExperimentConfig`` default, and the instance decides the energy-range case.
-Each model knob is checked by the code that builds the model, and a knob the
-chosen model does not read is ignored.  Every count (--d, --r, --trials,
---workers, --seed, --boost, --colors, --n-factors, --m-grid) is checked by the
-one rule ``instance.check_count``: an integer of at least its least value,
-below 2^63 for --d and --r, and odd for --boost.  A rejected run setting or
-estimator knob (an --eps that 1 + eps rounds away, a --d or --r from 2^63, an
-m d that is not finite), a model that cannot be built (a missing or malformed
-file, a knob or window the model rejects, too many states to enumerate, a
-lowerbound size over its caps), an instance outside the estimator's energy range (an
-energy inside (0, 1)), a batch over the work budget (the floats its TPA
-points, its TPA and PPE runs, its trial records and its boost repetitions
-would hold), and a ``tau`` --d or --rho out of range are one-line usage errors
-(exit 2), raised before any output.  So are a negative --seed, an --out that
-cannot be opened for writing and a --workers whose processes, min(--workers,
---trials), would take the batch over the work budget; each is caught before
-the first trial and before any worker process starts.
+suite of ``gibbsratio.claims.SUITES``, one per acceptance criterion;
+``lowerbound`` runs ``claims.lemma10_checks`` on one instance.  Each prints
+one check report and exits 0 on pass and 2 on failure.  A model, estimator or
+run flag left out takes its ``ExperimentConfig`` default, and the instance
+decides the energy-range case.  Each model knob is checked by the code that
+builds the model, and a knob the chosen model does not read is ignored.  Every
+count (--d, --r, --trials, --workers, --seed, --boost, --colors, --n-factors,
+--m-grid) is checked by the one rule ``instance.check_count``: an integer of
+at least its least value, below 2^63 for --d and --r, and odd for --boost.  A
+rejected run setting or estimator knob (an --eps that 1 + eps rounds away, a
+--d or --r from 2^63, an m d that is not finite), a model that cannot be built
+(a missing or malformed file, a knob or window the model rejects, too many
+states to enumerate, a lowerbound size over its caps), an instance outside the
+estimator's energy range (an energy inside (0, 1)), a batch over the work
+budget (the floats its TPA points, its TPA and PPE runs, its trial records and
+its boost repetitions would hold), and a ``tau`` --d or --rho out of range are
+one-line usage errors (exit 2), raised before any output.  So are a negative
+--seed, an --out that cannot be opened for writing and a --workers whose
+processes, min(--workers, --trials), would take the batch over the work
+budget; each is caught before the first trial and before any worker process
+starts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import time
 from dataclasses import fields
 from typing import NoReturn
 
-from .claims import SUITES, TAU_RHO, TAU_TABLE, run_suite, verify_lemma10
+from .claims import SUITES, TAU_RHO, TAU_TABLE, SuiteReport, lemma10_checks, run_suite
 from .estimator import tau_rho
 from .harness import (
     MODELS,
@@ -200,7 +201,8 @@ def _cmd_lowerbound(args) -> int:
             lb = build_from_grid(args.n_factors, args.m_grid)
     except ValueError as exc:
         _usage_error(args, exc)
-    return _print_report(verify_lemma10(lb))
+    header = f"lemma10 N={lb.n_factors} m={lb.m_grid}"
+    return _print_report(SuiteReport(header, lemma10_checks(lb)))
 
 
 def _cmd_suite(args) -> int:

@@ -91,14 +91,18 @@ _RULES = {
 }
 
 
-def _check_knobs(**knobs) -> None:
-    """Check each given knob against its rule in ``_RULES``, in order."""
+def _check_knobs(**knobs) -> dict:
+    """Check each given knob against its rule in ``_RULES``, in order.
+
+    Returns the knobs, each count as the Python int ``check_count`` returns.
+    """
     for name, value in knobs.items():
         rule = _RULES[name]
         if isinstance(rule, dict):
-            check_count(name, value, **rule)
+            knobs[name] = check_count(name, value, **rule)
         elif not rule[0](value):
             raise ValueError(rule[1])
+    return knobs
 
 
 def _case_lambda(case: Case, lam: float | None) -> float | None:
@@ -167,7 +171,7 @@ def tau_rho(d: int, rho: float) -> TauResult:
     [1e-3, 64] and refines the best cell to 1e-9; at small d and rho the
     minimum lies at tau = 0, where tau_rho(1, 0.5) = 4.
     """
-    _check_knobs(d=d)
+    d = _check_knobs(d=d)["d"]
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     grid = np.concatenate(([0.0], np.exp(np.linspace(math.log(1e-3), math.log(64.0), 2048))))
@@ -224,7 +228,9 @@ class EstimatorConfig:
 
     def __post_init__(self):
         epsilon_tilde(self.epsilon)  # rejects an epsilon that is not positive and finite
-        _check_knobs(case=self.case, gamma=self.gamma, d=self.d, r=self.r, k=self.k)
+        knobs = _check_knobs(case=self.case, gamma=self.gamma, d=self.d, r=self.r, k=self.k)
+        for name, value in knobs.items():
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "lam", _case_lambda(self.case, self.lam))
 
     @property
@@ -375,7 +381,7 @@ def paired_product(oracle: SamplingOracle, sched: Schedule, r: int, rng) -> Esti
     share of ln W and ln V is added in by two matrix-vector products, so the
     draws held at once never exceed one block, whatever ell is.
     """
-    _check_knobs(r=r)
+    r = _check_knobs(r=r)["r"]
     betas = sched.betas
     ell = sched.ell
     half_gaps = 0.5 * np.diff(betas)
@@ -437,7 +443,7 @@ def median_boost(
     Each repetition runs on its own child stream spawned from rng, so the
     failure probability drops to the binomial tail P(Bin(t, 1/4) >= ceil(t/2)).
     """
-    check_count("t", t, odd=True)
+    t = check_count("t", t, odd=True)
     results = [estimate(target, config, child) for child in rng.spawn(t)]
     results.sort(key=lambda res: res.q_hat)
     return results[t // 2]

@@ -127,10 +127,10 @@ class ExperimentConfig:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         for name, least in (("trials", 1), ("workers", 1), ("master_seed", 0)):
-            check_count(name, getattr(self, name), least)
+            object.__setattr__(self, name, check_count(name, getattr(self, name), least))
         Corruption(self.tv_budget, self.corruption_mode)  # rejects a bad budget or mode
         if self.boost_t is not None:
-            check_count("boost_t", self.boost_t, odd=True)
+            object.__setattr__(self, "boost_t", check_count("boost_t", self.boost_t, odd=True))
         if self.model in ("twolevel", "lowerbound") and (self.beta_min, self.beta_max) != (None, None):
             raise ValueError(f"{self.model} model fixes its own beta window; drop beta_min/beta_max")
 

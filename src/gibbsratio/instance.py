@@ -18,10 +18,11 @@ instead runs one numpy inner loop per beta.
 
 ``check_count`` is the package's one rule for an integer count (TPA runs k,
 the stride d and its offset, PPE runs r, a boost factor, a color count, the
-lower-bound family's N and m): a Python or numpy integer of at least
-``least``, below 2^63 where it sizes int64 offsets and arrays, and odd where
-it is a boost factor.  Every public entry point that takes a count applies it
-before any work, and the refusal names the knob.
+lower-bound family's N and m): a Python or numpy integer, not a ``bool``, of
+at least ``least``, below 2^63 where it sizes int64 offsets and arrays, and
+odd where it is a boost factor.  Every public entry point that takes a count
+applies it before any work and goes on with the Python int it returns, and the
+refusal names the knob.
 """
 
 from __future__ import annotations
@@ -227,19 +228,23 @@ class Schedule:
         return self.betas.tolist()
 
 
-def check_count(name: str, value, least: int = 1, *, sized: bool = False, odd: bool = False) -> None:
-    """Refuse ``value`` unless it is an integer count: the ValueError names ``name``.
+def check_count(name: str, value, least: int = 1, *, sized: bool = False, odd: bool = False) -> int:
+    """``value`` as a Python int, if it is an integer count: else a ValueError naming ``name``.
 
-    A count is a Python or numpy integer of at least ``least``; ``sized``
-    also needs it below 2^63, and ``odd`` needs it odd.
+    A count is a Python or numpy integer, not a ``bool``, of at least
+    ``least``; ``sized`` also needs it below 2^63, and ``odd`` needs it odd.
+    The int it returns does not wrap in later arithmetic, as a numpy integer
+    of a narrow width would.
     """
     if not (
         isinstance(value, (int, np.integer))
+        and not isinstance(value, bool)
         and least <= value < (2 ** 63 if sized else math.inf)
         and (value % 2 == 1 or not odd)
     ):
         span = f"in [{least}, 2^63)" if sized else f"of at least {least}"
         raise ValueError(f"{name} must be an {'odd ' if odd else ''}integer {span}")
+    return int(value)
 
 
 def logsumexp(a, axis=-1):

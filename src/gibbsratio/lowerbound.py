@@ -81,8 +81,8 @@ def build_from_grid(n_factors: int, m_grid: int) -> LowerBoundInstance:
     energies 1 + j/m are distinct floats; all four conditions are checked
     before any array is built.
     """
-    check_count("n_factors", n_factors)
-    check_count("m_grid", m_grid)
+    n_factors = check_count("n_factors", n_factors)
+    m_grid = check_count("m_grid", m_grid)
     if n_factors > 1023 or m_grid > 2 ** 52:
         raise ValueError("n_factors must be at most 1023 and m_grid at most 2^52")
     a = 2.0 ** (1.0 - np.arange(1, n_factors + 1, dtype=float))

@@ -113,8 +113,8 @@ def enumerate_colorings(
     omitted it is chosen so the partition function at beta_max is within 1e-3
     relative of the proper-coloring count (see beta_max_for_ground_state).
     """
-    check_count("kcolors", kcolors, 2)
-    n_states = int(kcolors) ** g.n_vertices  # a numpy integer's power wraps at 2^64
+    kcolors = check_count("kcolors", kcolors, 2)
+    n_states = kcolors ** g.n_vertices
     _check_budget(n_states, f"{kcolors}-colorings on {g.n_vertices} vertices")
     idx = np.arange(n_states, dtype=np.int64)
     energy = np.zeros(n_states, dtype=np.int64)

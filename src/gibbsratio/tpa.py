@@ -77,7 +77,7 @@ def tpa_multi(oracle: SamplingOracle, k: int, rng) -> TpaOutput:
     The waves run inside one ``np.errstate`` that ignores divide and invalid
     only, as ``tpa_step``'s does; it spans each wave's ``sample_at`` too.
     """
-    check_count("k", k)
+    k = check_count("k", k)
     inst = oracle.instance
     active = np.full(k, inst.beta_min)
     collected = []
@@ -101,8 +101,8 @@ def thin_to_schedule(
     Kept points that tie (a TPA step below the float resolution of beta) are
     merged into one level; point sets without ties are thinned unchanged.
     """
-    check_count("d", d, sized=True)
-    check_count("offset", offset)
+    d = check_count("d", d, sized=True)
+    offset = check_count("offset", offset)
     if offset > d:
         raise ValueError("offset must lie in {1, ..., d}")
     points = np.asarray(points)
@@ -123,7 +123,7 @@ def generate_schedule(oracle: SamplingOracle, k: int, d: int, rng) -> tuple[Sche
     replays consume an identical random stream.  An empty point set yields the
     two-level schedule (beta_min, beta_max).
     """
-    check_count("d", d, sized=True)
+    d = check_count("d", d, sized=True)
     out = tpa_multi(oracle, k, rng)
     offset = int(rng.integers(1, d + 1))
     inst = oracle.instance

@@ -1,13 +1,14 @@
-"""Acceptance criteria: each test is one row (criterion, suite, elapsed bound, marks).
+"""Acceptance criteria: one row per suite of ``gibbsratio.claims.SUITES``.
 
-Every criterion is a suite of ``gibbsratio.claims.SUITES``, so ``gibbsratio
-suite <name>`` runs it too; the suite pins its seeds, sample sizes and
-tolerances, and the row pins its runtime budget.  Each control runs a claim
-under a setting where it must fail, so the claim can tell a broken estimator.
-Run with `pytest -s` to see each suite's report.  Criterion 11 and the
-complexity sweep are marked slow (`-m "not slow"`); every seeded statistical
-criterion and every control is marked statistical, so `-m "not statistical"`
-runs the deterministic ones.
+Each criterion is one suite, so ``gibbsratio suite <name>`` runs it too; the
+suite pins its seeds, sample sizes and tolerances, and its row in
+``ACCEPTANCE`` pins its runtime budget and marks.  A tier-1 test holds the
+table's suite column to ``SUITES``.  Each control runs a claim under a setting
+where it must fail, so the claim can tell a broken estimator.  Run with
+`pytest -s` to see each suite's report.  Criterion 11 and the complexity sweep
+are marked slow (`-m "not slow"`); every seeded statistical criterion and every
+control is marked statistical, so `-m "not statistical"` runs the
+deterministic ones.
 """
 
 import dataclasses
@@ -19,6 +20,7 @@ import pytest
 
 from gibbsratio.claims import (
     ACCOUNTING_CONFIG,
+    SUITES,
     SuiteReport,
     call_accounting_checks,
     run_suite,
@@ -27,17 +29,37 @@ from gibbsratio.claims import (
 from gibbsratio.harness import run_trials
 from gibbsratio.oracle import CORRUPTION_MODES
 
+STAT, SLOW = pytest.mark.statistical, pytest.mark.slow
 
-@functools.cache
-def timed_report(suite: str) -> tuple[SuiteReport, float]:
-    """``run_suite(suite)`` and its seconds, once a session: criteria 7 and 8 share a batch."""
+# test name -> its rows, each pytest.param(suite, seconds bound, marks, id); a test
+# of more than one row is parametrized by their ids, so every test keeps its id
+ACCEPTANCE = {
+    "criterion_01_deterministic_exactness": [pytest.param("criterion_01", 1.0)],
+    "criterion_02_tau_table_reproduction": [pytest.param("criterion_02", 1.0)],
+    "criterion_03_closed_form_moment_equivalence": [pytest.param("criterion_03", 5.0, marks=STAT)],
+    "criterion_04_poisson_count_law": [pytest.param("criterion_04", 10.0, marks=STAT)],
+    "criterion_05_step_survival_identity": [pytest.param("criterion_05", 10.0, marks=STAT)],
+    "criterion_06_schedule_quality_frequency": [pytest.param("criterion_06", 120.0, marks=STAT)],
+    "criterion_07_08_success_and_call_accounting": [
+        pytest.param("criterion_07_08", 300.0, marks=STAT)
+    ],
+    "criterion_09_approximate_oracle_robustness": [
+        pytest.param(f"criterion_09_{mode}", 300.0, marks=STAT, id=mode) for mode in CORRUPTION_MODES
+    ],
+    "criterion_10_lower_bound_instance_properties": [pytest.param("criterion_10", 5.0)],
+    "criterion_11_median_boosting": [pytest.param("criterion_11", 1500.0, marks=(SLOW, STAT))],
+    "criterion_12_success_on_sensitive_instances": [
+        pytest.param(f"criterion_12_{model}", math.inf, marks=STAT, id=model)
+        for model in ("ising", "lowerbound")
+    ],
+    "complexity_sweep_report": [pytest.param("complexity_sweep", math.inf, marks=(SLOW, STAT))],
+}
+
+
+def passes(suite: str, within: float) -> None:
     started = time.perf_counter()
     report = run_suite(suite)
-    return report, time.perf_counter() - started
-
-
-def passes(suite: str, within: float = math.inf) -> None:
-    report, elapsed = timed_report(suite)
+    elapsed = time.perf_counter() - started
     assert report.passed, "\n".join(report.lines())
     assert elapsed < within
     print(*report.lines(), f"  ({elapsed:.2f}s)", sep="\n")
@@ -50,70 +72,28 @@ def fails(control: str, checks) -> None:
     print(*report.lines(), sep="\n")
 
 
-def test_criterion_01_deterministic_exactness():
-    passes("criterion_01", within=1.0)
+def _acceptance_test(rows):
+    """The test of one ``ACCEPTANCE`` name: plain for one row, else parametrized by them."""
+    if len(rows) > 1:
+        @pytest.mark.parametrize("suite,within", rows)
+        def test(suite, within):
+            passes(suite, within)
+
+        return test
+    suite, within = rows[0].values
+
+    def test():
+        passes(suite, within)
+
+    return functools.reduce(lambda test, mark: mark(test), rows[0].marks, test)
 
 
-def test_criterion_02_tau_table_reproduction():
-    passes("tau_table", within=1.0)
+globals().update({f"test_{name}": _acceptance_test(rows) for name, rows in ACCEPTANCE.items()})
 
 
-@pytest.mark.statistical
-def test_criterion_03_closed_form_moment_equivalence():
-    passes("criterion_03", within=5.0)
-
-
-@pytest.mark.statistical
-def test_criterion_04_poisson_count_law():
-    passes("criterion_04", within=10.0)
-
-
-@pytest.mark.statistical
-def test_criterion_05_step_survival_identity():
-    passes("criterion_05", within=10.0)
-
-
-@pytest.mark.statistical
-def test_criterion_06_schedule_quality_frequency():
-    passes("criterion_06", within=120.0)
-
-
-@pytest.mark.statistical
-def test_criterion_07_end_to_end_success():
-    passes("criterion_07_08", within=300.0)
-
-
-@pytest.mark.statistical
-def test_criterion_08_oracle_call_accounting():
-    passes("criterion_07_08")
-
-
-@pytest.mark.statistical
-@pytest.mark.parametrize("mode", CORRUPTION_MODES)
-def test_criterion_09_approximate_oracle_robustness(mode):
-    passes(f"criterion_09_{mode}", within=300.0)
-
-
-def test_criterion_10_lower_bound_instance_properties():
-    passes("criterion_10", within=5.0)
-
-
-@pytest.mark.slow
-@pytest.mark.statistical
-def test_criterion_11_median_boosting():
-    passes("criterion_11", within=1500.0)
-
-
-@pytest.mark.statistical
-@pytest.mark.parametrize("model", ["ising", "lowerbound"])
-def test_criterion_12_success_on_sensitive_instances(model):
-    passes(f"criterion_12_{model}")
-
-
-@pytest.mark.slow
-@pytest.mark.statistical
-def test_complexity_sweep_report():
-    passes("complexity_sweep")
+def test_the_table_has_one_row_per_suite():
+    suites = [row.values[0] for rows in ACCEPTANCE.values() for row in rows]
+    assert sorted(suites) == sorted(SUITES)
 
 
 @pytest.mark.statistical
@@ -127,7 +107,8 @@ def test_criterion_12_negative_control_below_the_rate(model):
 
 @pytest.mark.statistical
 def test_criterion_08_control_k_off_by_one():
-    # the accounting claim on the accounting suite's batch, against a config one TPA run off
+    # the accounting claim on criterion 8's batch on explicit knobs, against a config one
+    # TPA run off
     batch = run_trials(ACCOUNTING_CONFIG)
     est = batch.estimator_config
     wrong = dataclasses.replace(batch, estimator_config=dataclasses.replace(est, k=est.k + 1))

@@ -402,14 +402,10 @@ class TestLowerbound:
 
 class TestSuite:
     def test_tau_table(self, capsys):
-        code, out, _ = run_cli(capsys, "suite", "tau_table")
+        code, out, _ = run_cli(capsys, "suite", "criterion_02")
         assert code == 0
-        assert out.startswith("suite tau_table: PASS")
+        assert out.startswith("suite criterion_02: PASS")
         assert out.count("[PASS]") == 2 * 10  # tau_rho and its argmin at each TAU_TABLE d
-
-    def test_accounting(self, capsys):
-        code, out, _ = run_cli(capsys, "suite", "accounting")
-        assert code == 0
 
     def test_graph_model_end_to_end(self, tmp_path, capsys):
         graph = tmp_path / "square.txt"

@@ -251,13 +251,14 @@ def _rule(knob, value, message):
 # one row per refused knob value, with the one message every entry point taking it raises
 RULE_ROWS = [
     *(_rule("gamma", gamma, "gamma must lie in (0, 0.25)") for gamma in (0.0, 0.25, math.nan)),
-    *(_rule(knob, v, INT64(knob)) for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400, 2.5, 2.9, 8.0)),
+    *(_rule(knob, v, INT64(knob))
+      for knob in ("d", "r") for v in (0, 2 ** 63, 10 ** 400, 2.5, 2.9, 8.0, True)),
     *(_rule("n", n, "n must be at least 1") for n in (0.5, 0.0, math.nan)),
     _rule("case", "III", "case must be 'I' or 'II'"),
     *(_rule("lam", lam, "lambda must lie in (0, 1)") for lam in (0.0, 1.0, -0.5, math.nan)),
     *(_rule("epsilon", eps, "epsilon must be positive and finite") for eps in (0.0, math.nan)),
-    *(_rule("k", k, "k must be an integer of at least 1") for k in (0, 2.5, 8.0, 10.5)),
-    *(_rule("t", t, "t must be an odd integer of at least 1") for t in (0, 2, 2.5, 3.0, 8.0)),
+    *(_rule("k", k, "k must be an integer of at least 1") for k in (0, 2.5, 8.0, 10.5, True)),
+    *(_rule("t", t, "t must be an odd integer of at least 1") for t in (0, 2, 2.5, 3.0, 8.0, True)),
     _rule("rho", 1.0, "rho must lie in (0, 1)"),
 ]
 
@@ -279,6 +280,13 @@ class TestKnobRules:
         knobs = KNOBS | dict(d=np.int64(64), k=np.int64(64), r=np.int64(8), t=np.int64(3))
         assert all(_refusal(name, knobs) is None for name in ENTRY_POINTS)
         assert _call("build_config", knobs) == _call("build_config", KNOBS)
+
+    @pytest.mark.parametrize("d", [np.int8(127), np.uint8(255)], ids=["int8-127", "uint8-255"])
+    def test_narrow_numpy_counts_are_kept_as_python_ints(self, d):
+        # d + 1 would wrap in d's own type; the config holds d as a Python int
+        cfg = build_config(0.5, 1.0, "II", d=d)
+        assert type(cfg.d) is int and cfg == build_config(0.5, 1.0, "II", d=int(d))
+        assert math.isfinite(estimate(two_level_instance(2.0), cfg, np.random.default_rng(0)).q_hat)
 
     @pytest.mark.parametrize("lam", [5.0, 0.0, math.nan, 0.01])
     def test_case_one_reads_no_lambda(self, lam):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gibbsratio
-from gibbsratio.claims import verify_lemma10
+from gibbsratio.claims import SuiteReport, lemma10_checks
 from gibbsratio.instance import energy_variance, log_partition, log_ratio_true, mean_energy
 from gibbsratio.lowerbound import (
     MIN_C2,
@@ -58,7 +58,8 @@ class TestExpansion:
 
     @pytest.mark.parametrize("n_factors,m_grid,knob", [
         (0, 2, "n_factors"), (2.5, 2, "n_factors"), (8.0, 2, "n_factors"), (8.5, 2, "n_factors"),
-        (4, 0, "m_grid"), (4, 2.5, "m_grid"), (4, 8.0, "m_grid"),
+        (True, 2, "n_factors"), (4, 0, "m_grid"), (4, 2.5, "m_grid"), (4, 8.0, "m_grid"),
+        (4, True, "m_grid"),
     ])
     def test_refuses_a_size_that_is_not_a_count(self, monkeypatch, n_factors, m_grid, knob):
         monkeypatch.setattr(gibbsratio.lowerbound, "np", None)  # an array built would raise
@@ -218,24 +219,25 @@ LEMMA10_CHECKS = (
 )
 
 
-def lemma10_checks(n_factors, m_grid):
+def lemma10_by_inequality(n_factors, m_grid):
     """The four Lemma 10 checks of one instance, keyed by inequality."""
-    report = verify_lemma10(build_from_grid(n_factors, m_grid))
     prefix = f"N={n_factors} m={m_grid} "
-    checks = {check.name.removeprefix(prefix): check for check in report.checks}
+    checks = {
+        check.name.removeprefix(prefix): check
+        for check in lemma10_checks(build_from_grid(n_factors, m_grid))
+    }
     assert tuple(checks) == LEMMA10_CHECKS
-    return report, checks
+    return checks
 
 
 class TestLemma10Report:
     @pytest.mark.parametrize("n_factors,m_grid", [(16, 2), (32, 3)])
     def test_all_inequalities_pass(self, n_factors, m_grid):
-        report, checks = lemma10_checks(n_factors, m_grid)
+        checks = lemma10_by_inequality(n_factors, m_grid)
         assert checks["log-ratio sandwich"].passed
         assert checks["sensitivity floor"].passed
         assert checks["curvature cap"].passed
         assert checks["sensitivity^2/curvature floor"].passed
-        assert report.passed
         ratio = checks["sensitivity^2/curvature floor"].observed
         assert ratio > (n_factors / 4 - 1) ** 2
 
@@ -243,12 +245,12 @@ class TestLemma10Report:
         # strict inequalities across the whole small-instance range
         for n_factors in range(8, 65):
             for m_grid in (1, 2, 4):
-                _, checks = lemma10_checks(n_factors, m_grid)
+                checks = lemma10_by_inequality(n_factors, m_grid)
                 assert checks["log-ratio sandwich"].passed, (n_factors, m_grid)
                 assert checks["sensitivity^2/curvature floor"].passed, (n_factors, m_grid)
 
     def test_report_lines_render(self):
-        report = verify_lemma10(build_from_grid(16, 2))
+        report = SuiteReport("lemma10 N=16 m=2", lemma10_checks(build_from_grid(16, 2)))
         text = "\n".join(report.lines())
         assert text.startswith("suite lemma10 N=16 m=2: PASS")
         assert "PASS" in text and "FAIL" not in text

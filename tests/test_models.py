@@ -149,7 +149,7 @@ class TestColorings:
         with pytest.raises(ValueError):
             enumerate_colorings(TRIANGLE, 1)
 
-    @pytest.mark.parametrize("kcolors", [1, 2.5, 8.0])
+    @pytest.mark.parametrize("kcolors", [1, 2.5, 8.0, True])
     def test_color_count_is_refused_before_any_array(self, monkeypatch, kcolors):
         monkeypatch.setattr(gibbsratio.models, "np", None)  # an array built would raise
         with pytest.raises(ValueError, match="^kcolors must be an integer of at least 2$"):

@@ -159,11 +159,11 @@ OFFSET = "offset must be an integer of at least 1"
 # one row per refused count: the entry point, the count it is given, and its message
 COUNT_ROWS = [
     *(pytest.param(entry, {"k": k}, K, id=f"{entry}-k-{k}")
-      for entry in ("tpa_multi", "generate_schedule") for k in (0, 2.5, 8.0)),
+      for entry in ("tpa_multi", "generate_schedule") for k in (0, 2.5, 8.0, True)),
     *(pytest.param(entry, {"d": d}, D, id=f"{entry}-d-{'2^63' if d == 2 ** 63 else d}")
-      for entry in ("generate_schedule", "thin_to_schedule") for d in (0, 2.5, 8.0, 2 ** 63)),
+      for entry in ("generate_schedule", "thin_to_schedule") for d in (0, 2.5, 8.0, 2 ** 63, True)),
     *(pytest.param("thin_to_schedule", {"offset": offset}, OFFSET, id=f"offset-{offset}")
-      for offset in (0, 2.5, 8.0)),
+      for offset in (0, 2.5, 8.0, True)),
 ]
 
 
@@ -178,6 +178,11 @@ class TestCountRules:
     def test_numpy_integers_pass(self, unit_oracle, entry):
         counts = dict(k=np.int64(3), d=np.int64(2), offset=np.int64(1))
         assert _tpa_call(entry, unit_oracle, **counts) == _tpa_call(entry, unit_oracle)
+
+    def test_numpy_stride_below_2_63_runs_as_the_python_int(self, unit_oracle):
+        # d + 1 = 2^63 would wrap in int64 and leave no offset to draw
+        top = _tpa_call("generate_schedule", unit_oracle, d=2 ** 63 - 1)
+        assert _tpa_call("generate_schedule", unit_oracle, d=np.int64(2 ** 63 - 1)) == top
 
 
 class TestPppReference:
