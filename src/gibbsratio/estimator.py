@@ -34,12 +34,27 @@ Two regimes are exposed: case "I" for instances whose energies stay in
 [1, n] and case "II" when a zero-energy level exists, which needs the
 lambda-corrected threshold.
 
+The analysis admits any (d, gamma, r) at the rate ``min_m``, and a trial
+makes about m q (d + r) oracle calls, so ``build_config`` picks an unset r as
+the multiple c 2/eps~^2, c in (1, 1.5, 2, 3, 4, 6, 8), of fewest predicted
+calls per unit q; c = 1 is the paper's r.  Against the paper's r at its rate
+3.6 (9 + ln n), that is 1.30x fewer calls at eps 0.5 (r 60 -> 179, k 2,074 ->
+816 at n = 1), 1.80x at eps 1 and 1.003x at eps 0.1.  The calls move from
+TPA points to PPE draws, which cost less: traced two-level q = 64 trials at
+eps 0.5 spent about 39 ns per TPA point and 7 ns per PPE draw.  d stays 64:
+searching d over the tau table's rows as well saved 1.06x calls at eps 0.1,
+but d = 128 gave a two-level q = 8 trial 29k TPA points in place of 16.6k
+and lost it 5-12% of its trials/s.
+
 The trial path needs no scipy: ``paired_product`` averages with
 ``instance.logsumexp``, a plain max-shifted reduction without scipy's fixed
 cost of about 0.1 ms per call.  scipy is imported only inside the functions
 that need it -- the regularized gamma behind ``tau_rho`` and the Brent
-refinement -- which the headline config never calls, so importing this module
-does not pay for ``scipy.special``.
+refinement.  At the default d and gamma ``build_config`` reads tau_rho(64,
+75/76) = 1.538626598773... from ``_DEFAULT_TAU``, rounded up in the 9th
+decimal so the rate never drops below ``min_m``'s, and any other d or gamma
+runs ``tau_rho`` once; so importing this module and building a default config
+do not pay for ``scipy.special`` (about 400 ms to import on a 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -76,8 +91,10 @@ Case = Literal["I", "II"]
 DEFAULT_GAMMA = 0.24
 DEFAULT_D = 64
 DEFAULT_LAMBDA = math.exp(-7.0)
-# headline rate coefficient achieved by (gamma, d, lambda) above, in both cases
-HEADLINE_RATE = 3.6
+# tau_rho(64, 0.75 / (1 - 0.24)) = 1.538626598773..., rounded up in the 9th decimal
+_DEFAULT_TAU = 1.538626599
+# the multiples c of the paper's 2 / eps~^2 that an unset r is picked from
+_R_SCALES = (1, 1.5, 2, 3, 4, 6, 8)
 
 
 # each knob's one rule: (test, message), or for a count the keywords of
@@ -196,7 +213,11 @@ def min_m(
     """Smallest admissible TPA rate per unit log-ratio for the given knobs."""
     _check_knobs(case=case, gamma=gamma, d=d, r=r, n=n)
     lam = _case_lambda(case, lam)
-    tau = tau_rho(d, _rho(gamma)).value
+    return _rate(tau_rho(d, _rho(gamma)).value, gamma, r, epsilon, n, lam)
+
+
+def _rate(tau: float, gamma: float, r: int, epsilon: float, n: float, lam: float | None) -> float:
+    """``min_m`` at tau = tau_rho(d, rho), for checked knobs and lam as the case reads it."""
     denom = good_schedule_threshold(gamma, r, epsilon_tilde(epsilon))
     scale = math.log(n)
     if lam is not None:
@@ -267,10 +288,6 @@ class EstimatorConfig:
         return (tpa_points + self.k) + (schedule_len + 1) * self.r
 
 
-def default_r(epsilon: float) -> int:
-    return math.ceil(2.0 / epsilon_tilde(epsilon) ** 2)
-
-
 def build_config(
     epsilon: float,
     n: float,
@@ -283,41 +300,42 @@ def build_config(
 ) -> EstimatorConfig:
     """Estimator config for energies in [1, n] (case I) or with a zero level (case II).
 
-    Unset knobs fall back to the headline parameterization: d=64, gamma=0.24,
-    r=ceil(2/eps~^2) and, in case II, lambda=e^-7.  When m is not given and
-    the knobs are headline (r may be larger), the rate is 3.6 ln n in case I
-    and 3.6 (9 + ln n) in case II; otherwise it is the minimal admissible rate
-    ``min_m`` for the chosen knobs.  k = ceil(m d) is clamped to at least one
-    run so degenerate fixtures with n = 1 stay runnable; the effective rate
-    m = k/d never drops below the target.  A given m must be positive and
-    finite, and so must m d.  d and r, set or derived, must be integers in
+    Unset knobs fall back to d=64, gamma=0.24 and, in case II, lambda=e^-7.
+    An unset m is the minimal admissible rate ``min_m`` of the final knobs,
+    and k = ceil(m d) is clamped to at least one run so degenerate fixtures
+    with n = 1 stay runnable; the effective rate m = k/d never drops below
+    the target.  An unset r is ceil(c 2/eps~^2) for the c in (1, 1.5, 2, 3, 4,
+    6, 8) whose config predicts the fewest oracle calls per unit of q, k (d +
+    r) / d, the earliest c on a tie: a larger r buys a lower rate, so fewer TPA
+    runs, at more PPE draws per level.  c >= 1 keeps r at or above the paper's
+    2/eps~^2, and a given m keeps exactly that r.  A given m must be positive
+    and finite, and so must m d.  d and r, set or derived, must be integers in
     [1, 2^63).
     """
     if m is not None and not 0 < m < math.inf:
         raise ValueError("m must be positive and finite")
     d = DEFAULT_D if d is None else d
     gamma = DEFAULT_GAMMA if gamma is None else float(gamma)
-    r = default_r(epsilon) if r is None else r
-    _check_knobs(case=case, n=n, gamma=gamma, d=d, r=r)
+    knobs = _check_knobs(case=case, n=n, gamma=gamma, d=d, **({} if r is None else {"r": r}))
+    d = knobs["d"]
     lam = _case_lambda(case, lam)
-    if m is None:
-        headline = d == DEFAULT_D and gamma == DEFAULT_GAMMA and lam in (None, DEFAULT_LAMBDA)
-        if headline and r >= default_r(epsilon):
-            m = HEADLINE_RATE * (math.log(n) if case == "I" else 9.0 + math.log(n))
-        else:
-            m = min_m(d, gamma, r, epsilon, n, case, lam)
-    runs = float(m) * d
-    if not runs < math.inf:
-        raise ValueError(f"the TPA run count m d must be finite, got m = {m:g} and d = {d}")
-    return EstimatorConfig(
-        epsilon=float(epsilon),
-        gamma=gamma,
-        d=d,
-        k=max(1, math.ceil(runs)),
-        r=r,
-        case=case,
-        lam=lam,
-    )
+    if m is None:  # tau_rho at most once, and never at the default d and gamma
+        custom = (d, gamma) != (DEFAULT_D, DEFAULT_GAMMA)
+        tau = tau_rho(d, _rho(gamma)).value if custom else _DEFAULT_TAU
+    if r is None:
+        rs = [math.ceil(c * 2.0 / epsilon_tilde(epsilon) ** 2) for c in _R_SCALES]
+    else:
+        rs = [knobs["r"]]
+
+    def runs(r: int) -> int:
+        rate = float(m) if m is not None else _rate(tau, gamma, r, epsilon, n, lam)
+        if not rate * d < math.inf:
+            raise ValueError(f"the TPA run count m d must be finite, got m = {rate:g} and d = {d}")
+        return max(1, math.ceil(rate * d))
+
+    # fewest predicted calls per unit q, k (d + r) / d; min keeps the earliest on a tie
+    k, r = min(((runs(r), r) for r in rs), key=lambda kr: kr[0] * (d + kr[1]))
+    return EstimatorConfig(epsilon=float(epsilon), gamma=gamma, d=d, k=k, r=r, case=case, lam=lam)
 
 
 def detect_case(inst: CountInstance, case: str = "auto") -> Case:

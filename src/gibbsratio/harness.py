@@ -84,8 +84,8 @@ MODELS = ("singleton", "twolevel", "synthetic", "ising", "colorings", "matchings
 # - A forked pool worker held 5.3-6.8 MB of Private_Dirty after 20 trials on
 #   q8-pool, q64-long, ising-tv and q8-tight, 0.68-0.87M floats, by
 #   /proc/self/smaps_rollup.
-# With the headline k = 2,074 and r = 60, q = 3e4 (62M points) is accepted and
-# q = 1e6 (2.1e9 points) is refused, and so are 1e9 trials, a boost of 1e8 and
+# With eps 0.5's default k = 816 and r = 179, q = 3e4 (24M points) is accepted and
+# q = 1e6 (816M points) is refused, and so are 1e9 trials, a boost of 1e8 and
 # 1,000 trials on 1,000 workers.
 WORK_BUDGET = 2 ** 28
 

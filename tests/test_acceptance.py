@@ -20,12 +20,16 @@ import pytest
 
 from gibbsratio.claims import (
     ACCOUNTING_CONFIG,
+    Q8,
     SUITES,
     SuiteReport,
+    _q8_batch,
     call_accounting_checks,
+    mean_calls_checks,
     run_suite,
     sensitive_checks,
 )
+from gibbsratio.estimator import build_config, predicted_calls
 from gibbsratio.harness import run_trials
 from gibbsratio.oracle import CORRUPTION_MODES
 
@@ -117,3 +121,14 @@ def test_criterion_08_control_k_off_by_one():
     est = batch.estimator_config
     wrong = dataclasses.replace(batch, estimator_config=dataclasses.replace(est, k=est.k + 1))
     fails("criterion_08 at k + 1", call_accounting_checks(wrong))
+
+
+@pytest.mark.statistical
+def test_criterion_08_control_mean_calls_against_the_paper_config():
+    # criterion 8's batch, built at eps 0.5's default r = 179, against the calls the
+    # paper's config predicts (r = 60 and m = 3.6 (9 + ln n), n = 1): about 25,950 against 34,341
+    batch = _q8_batch(master_seed=2027)
+    paper = build_config(0.5, Q8.n, "II", r=60, m=3.6 * 9.0)
+    predicted = predicted_calls(paper, batch.summary["q_true"])["implemented"]
+    wrong = dataclasses.replace(batch, summary=batch.summary | {"predicted_calls": predicted})
+    fails("criterion_08 against the paper config", mean_calls_checks(wrong, 0.05))

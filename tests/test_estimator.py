@@ -121,7 +121,7 @@ class TestMinimizeOnGrid:
         assert tau_rho(1, 0.5) == (4.0, 0.0)
 
 
-HEADLINE_PATH_SCRIPT = """
+DEFAULT_PATH_SCRIPT = """
 import json, sys
 import numpy as np
 import gibbsratio
@@ -137,31 +137,33 @@ res = estimate(inst, build_config(0.5, inst.n, detect_case(inst)), np.random.def
 delta, _ = schedule_delta(inst, res.schedule)
 batch = run_trials(ExperimentConfig(model="twolevel", trials=2))
 code = cli.main(["trials", "--trials", "2", "--out", sys.argv[1]])
-headline = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 tau_passed = all(check.passed for check in tau_checks(64))
 print(json.dumps({
     "finite": bool(np.isfinite([res.q_hat, delta]).all()) and len(batch.records) == 2,
+    "twolevel_r": batch.estimator_config.r,
     "cli_exit": code,
-    "headline_scipy": headline,
+    "default_scipy": loaded,
     "tau_passed": tau_passed,
     "after_tau": "scipy.special" in sys.modules,
 }))
 """
 
 
-def test_headline_path_never_loads_scipy(tmp_path):
+def test_default_path_never_loads_scipy(tmp_path):
     # a fresh interpreter: scipy.special costs about 350 ms to import, so only
-    # the non-headline knobs (tau_rho and what calls it) may load it
+    # a custom d or gamma (tau_rho and what calls it) may load it
     src = str(Path(gibbsratio.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", HEADLINE_PATH_SCRIPT, str(tmp_path / "records.ndjson")],
+        [sys.executable, "-c", DEFAULT_PATH_SCRIPT, str(tmp_path / "records.ndjson")],
         capture_output=True, text=True, env=env, check=True,
     )
     got = json.loads(done.stdout.splitlines()[-1])
     assert got["finite"] and got["cli_exit"] == 0
+    assert got["twolevel_r"] == 179  # eps 0.5's default r, c = 3, picked without scipy
     assert (tmp_path / "records.ndjson").read_text().count("\n") == 2
-    assert got["headline_scipy"] == []
+    assert got["default_scipy"] == []
     assert got["tau_passed"]
     assert got["after_tau"]
 
@@ -180,6 +182,10 @@ class TestMinM:
             for n in (1.0, 10.0, 1000.0):
                 bound = 3.6 * (9.0 + math.log(n))
                 assert min_m(64, 0.24, r, eps, n, "II", math.exp(-7)) <= bound + 1e-9
+
+    def test_default_tau_is_tau_rho_rounded_up(self):
+        value = tau_rho(64, 75.0 / 76.0).value
+        assert value <= gibbsratio.estimator._DEFAULT_TAU <= value + 1e-8
 
     def test_numeric_anchor(self):
         # tau_rho(64) / (2 ln 1.24) is just under 3.6 per unit ln n
@@ -300,27 +306,55 @@ class TestKnobRules:
 class TestConfig:
     def test_default_case_one_example(self):
         cfg = build_config(1.0, math.e ** 2, "I")
-        assert cfg.r == 24
-        assert cfg.k == 461
-        assert cfg.m == pytest.approx(461 / 64)
+        assert cfg.r == 140  # ceil(6 * 2 / eps~^2)
+        assert cfg.k == 111
+        assert cfg.m == pytest.approx(111 / 64)
         assert cfg.rho == pytest.approx(0.75 / 0.76)
         assert cfg.d == 64 and cfg.gamma == 0.24
         assert cfg.lam is None
 
     def test_default_r_for_eps_three(self):
-        assert build_config(3.0, 10.0, "I").r == 8
+        assert build_config(3.0, 10.0, "I").r == 64  # 8 * 2 / eps~^2, with eps~ = 1/2
 
-    def test_default_satisfies_min_m(self):
-        # the headline rates clear min_m by as little as 0.24% (case II, eps = 3)
-        for case in ("I", "II"):
-            for eps in (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+    def test_default_never_predicts_more_calls_than_the_paper_config(self):
+        # the paper's config: r = ceil(2/eps~^2) at m = 3.6 ln n (I) or 3.6 (9 + ln n) (II);
+        # calls per unit q are k (d + r) / d, and the default clears min_m at its own knobs.
+        # Case II, that of every benchmark workload, saves at least 1.29x at eps 0.5 and
+        # 1.79x at eps 1 (case I saves 1.29x and 1.789x there for n > 1, and nothing at n = 1)
+        for case, saving in (("I", {}), ("II", {0.5: 1.29, 1.0: 1.79})):
+            for eps in (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
                 for n in np.logspace(0.0, 6.0, 13):
                     cfg = build_config(eps, n, case)
-                    m_required = min_m(cfg.d, cfg.gamma, cfg.r, eps, n, case, cfg.lam)
-                    assert cfg.m >= m_required - 1e-12
+                    assert cfg.m >= min_m(cfg.d, cfg.gamma, cfg.r, eps, n, case, cfg.lam) - 1e-12
+                    rate = 3.6 * (math.log(n) if case == "I" else 9.0 + math.log(n))
+                    paper = EstimatorConfig(
+                        eps, 0.24, 64, max(1, math.ceil(rate * 64)),
+                        math.ceil(2.0 / cfg.eps_tilde ** 2), case,
+                    )
+                    ratio = (paper.k * (64 + paper.r)) / (cfg.k * (64 + cfg.r))
+                    assert ratio >= saving.get(eps, 1.0), (case, eps, n)
+
+    def test_a_given_m_keeps_the_papers_r(self):
+        # criterion 12's control config: more r would only add PPE draws at a fixed k
+        assert build_config(0.5, 1.0, "II", m=0.1).r == 60
+        assert build_config(3.0, 10.0, "I", m=2.0).r == 8
+
+    @pytest.mark.parametrize("knobs,runs", [
+        ({}, 0), ({"d": 32}, 1), ({"gamma": 0.2}, 1), ({"d": 32, "r": 50}, 1), ({"d": 32, "m": 2.0}, 0),
+    ], ids=["default", "d", "gamma", "d-and-r", "d-and-m"])
+    def test_tau_rho_runs_at_most_once_per_build_config(self, monkeypatch, knobs, runs):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tau_rho(*args)
+
+        monkeypatch.setattr(gibbsratio.estimator, "tau_rho", counted)
+        build_config(0.5, 10.0, "II", **knobs)
+        assert len(calls) == runs
 
     def test_custom_lambda_gets_admissible_rate(self):
-        # the headline case II rate assumes lambda = e^-7; lambda = 0.1 needs more
+        # lambda = 0.1 needs a higher rate than the default e^-7
         cfg = build_config(0.5, 24.0, "II", lam=0.1)
         required = min_m(cfg.d, cfg.gamma, cfg.r, 0.5, 24.0, "II", 0.1)
         assert cfg.lam == 0.1
@@ -340,7 +374,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("knobs", [{}, {"d": 4}], ids=["headline", "min-rate"])
     def test_unknown_case_is_refused_before_tau_rho_runs(self, monkeypatch, knobs):
-        # a custom d takes the rate from min_m, which runs tau_rho: one rule, one message
+        # a custom d runs tau_rho for its rate: one rule, one message, before it
         def no_tau(*args):
             raise AssertionError("tau_rho ran")
 

@@ -164,9 +164,9 @@ class TestModelDispatch:
             assert resolve_estimator_config(cfg, build_model_instance(cfg)).case == case
 
     def test_work_budget_takes_q_3e4_and_refuses_q_1e6(self):
-        # headline k = 2,074: about 6.2e7 expected TPA points against 2.1e9
+        # default k = 816 at eps 0.5: about 2.4e7 expected TPA points against 8.2e8
         ok = ExperimentConfig(model="twolevel", target_q=3e4, trials=1)
-        assert resolve_estimator_config(ok, build_model_instance(ok)).k == 2074
+        assert resolve_estimator_config(ok, build_model_instance(ok)).k == 816
         big = ExperimentConfig(model="twolevel", target_q=1e6, trials=1)
         with pytest.raises(BudgetExceededError, match="work budget"):
             resolve_estimator_config(big, build_model_instance(big))
